@@ -3,11 +3,12 @@
 // recent comparable history in BENCH_history.jsonl (the last 8 runs
 // with the same file, kernel, GPU, point count, GOMAXPROCS and host —
 // a sliding window, so the baseline tracks machine drift), appends the
-// new runs to the history, and exits non-zero when a guarded metric —
-// per-point time, speedup, points/sec — regressed beyond the noise
-// threshold. The
-// Makefile's `bench-guard` target runs it after the bench tools, so
-// `make check` (and CI) fails when a hot path gets slower.
+// new runs to the history (a report already recorded under the same
+// file, git commit and generation time is not appended again), and
+// exits non-zero when a guarded metric — per-point time, speedup,
+// points/sec — regressed beyond the noise threshold. The Makefile's
+// `bench-guard` target runs it after the bench tools, so `make check`
+// (and CI) fails when a hot path gets slower.
 //
 //	benchguard                                   # guard ./BENCH_*.json
 //	benchguard -tol 0.25 BENCH_sweep.json        # custom threshold/files
@@ -73,7 +74,11 @@ func main() {
 		for _, r := range regs {
 			fmt.Printf("  REGRESSION %s\n", r)
 		}
-		if !*checkOnly {
+		switch {
+		case *checkOnly:
+		case bench.Recorded(history, e):
+			fmt.Printf("  %s (generated %s) is already in the history, not appended\n", e.File, e.GeneratedAt)
+		default:
 			if err := bench.AppendHistory(*historyPath, e); err != nil {
 				fatal(err)
 			}

@@ -222,7 +222,7 @@ func main() {
 	fmt.Print(sel.String())
 	if *dumpModel {
 		fmt.Println("\n--- formulation ---")
-		fmt.Print(sel.Model)
+		fmt.Print(sel.Model())
 	}
 	if *explain {
 		_, rendered := prog.Explain(g, sel)

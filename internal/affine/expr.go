@@ -8,8 +8,9 @@
 package affine
 
 import (
-	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -185,33 +186,50 @@ func (e Expr) Equal(o Expr) bool {
 
 // String renders the expression in a canonical human-readable form.
 func (e Expr) String() string {
-	var parts []string
-	appendTerm := func(name string, c int64) {
+	var b strings.Builder
+	e.Render(&b)
+	return b.String()
+}
+
+// Render writes String's form of e to b: the nonzero iterator terms,
+// then the nonzero parameter terms, each group sorted by name, then the
+// constant when it is nonzero or nothing else was written. It builds no
+// intermediate strings, so hot renderers (the DSL writer behind kernel
+// fingerprints) stay cheap.
+func (e Expr) Render(b *strings.Builder) {
+	first := true
+	term := func(name string, c int64) {
+		if c >= 0 && !first {
+			b.WriteByte('+')
+		}
+		first = false
 		switch c {
 		case 1:
-			parts = append(parts, name)
 		case -1:
-			parts = append(parts, "-"+name)
+			b.WriteByte('-')
 		default:
-			parts = append(parts, fmt.Sprintf("%d*%s", c, name))
+			b.WriteString(strconv.FormatInt(c, 10))
+			b.WriteByte('*')
+		}
+		b.WriteString(name)
+	}
+	var buf [8]string
+	for _, m := range []map[string]int64{e.Iters, e.Params} {
+		names := buf[:0]
+		for k, v := range m {
+			if v != 0 {
+				names = append(names, k)
+			}
+		}
+		slices.Sort(names)
+		for _, k := range names {
+			term(k, m[k])
 		}
 	}
-	for _, k := range e.IterNames() {
-		appendTerm(k, e.Iters[k])
-	}
-	pnames := make([]string, 0, len(e.Params))
-	for k, v := range e.Params {
-		if v != 0 {
-			pnames = append(pnames, k)
+	if e.Const != 0 || first {
+		if e.Const >= 0 && !first {
+			b.WriteByte('+')
 		}
+		b.WriteString(strconv.FormatInt(e.Const, 10))
 	}
-	sort.Strings(pnames)
-	for _, k := range pnames {
-		appendTerm(k, e.Params[k])
-	}
-	if e.Const != 0 || len(parts) == 0 {
-		parts = append(parts, fmt.Sprintf("%d", e.Const))
-	}
-	s := strings.Join(parts, "+")
-	return strings.ReplaceAll(s, "+-", "-")
 }

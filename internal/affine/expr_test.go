@@ -38,6 +38,11 @@ func TestExprString(t *testing.T) {
 		{NewIter("i").AddConst(-1), "i-1"},
 		{NewIter("i").Scale(3).Add(NewIter("j")), "3*i+j"},
 		{NewParam("N").AddConst(-1), "N-1"},
+		{NewIter("i").Scale(-1).Add(NewParam("N")), "-i+N"},
+		{NewParam("N").Scale(-2), "-2*N"},
+		{NewIter("j").Scale(-3).Add(NewIter("i").Scale(2)).Add(NewParam("M").Scale(-1)).AddConst(5), "2*i-3*j-M+5"},
+		{Expr{Iters: map[string]int64{"i": 0, "j": 1}, Params: map[string]int64{"N": 0}, Const: -2}, "j-2"},
+		{Expr{Iters: map[string]int64{"i": 0}}, "0"},
 	}
 	for _, c := range cases {
 		if got := c.e.String(); got != c.want {

@@ -152,11 +152,18 @@ func (r Ref) HasStride1(iter string) bool {
 
 func (r Ref) String() string {
 	var b strings.Builder
+	r.Render(&b)
+	return b.String()
+}
+
+// Render writes String's form of r to b.
+func (r Ref) Render(b *strings.Builder) {
 	b.WriteString(r.Array)
 	for _, s := range r.Subscripts {
-		fmt.Fprintf(&b, "[%s]", s.String())
+		b.WriteByte('[')
+		s.Render(b)
+		b.WriteByte(']')
 	}
-	return b.String()
 }
 
 // Statement is the atomic unit of computation inside a loop nest body.

@@ -28,7 +28,11 @@ type HistoryEntry struct {
 	GOMAXPROCS int64  `json:"gomaxprocs"`
 	Host       string `json:"host,omitempty"`
 	GitCommit  string `json:"git_commit,omitempty"`
-	RecordedAt string `json:"recorded_at"`
+	// GeneratedAt is the report's own timestamp; with File and
+	// GitCommit it identifies one measurement, however often the
+	// unchanged report is guarded again.
+	GeneratedAt string `json:"generated_at,omitempty"`
+	RecordedAt  string `json:"recorded_at"`
 	// Metrics holds every numeric field of the report. Only the guarded
 	// suffixes (see metricDirection) participate in regression checks.
 	Metrics map[string]float64 `json:"metrics"`
@@ -98,15 +102,16 @@ func EntryFromReport(path string, raw []byte) (HistoryEntry, error) {
 		return f
 	}
 	e := HistoryEntry{
-		File:       filepath.Base(path),
-		Kernel:     str("kernel"),
-		GPU:        str("gpu"),
-		Points:     int64(num("points")),
-		GOMAXPROCS: int64(num("gomaxprocs")),
-		Host:       str("host"),
-		GitCommit:  str("git_commit"),
-		RecordedAt: time.Now().UTC().Format(time.RFC3339),
-		Metrics:    map[string]float64{},
+		File:        filepath.Base(path),
+		Kernel:      str("kernel"),
+		GPU:         str("gpu"),
+		Points:      int64(num("points")),
+		GOMAXPROCS:  int64(num("gomaxprocs")),
+		Host:        str("host"),
+		GitCommit:   str("git_commit"),
+		GeneratedAt: str("generated_at"),
+		RecordedAt:  time.Now().UTC().Format(time.RFC3339),
+		Metrics:     map[string]float64{},
 	}
 	for k, v := range doc {
 		if f, ok := v.(float64); ok {
@@ -160,6 +165,23 @@ func AppendHistory(path string, e HistoryEntry) error {
 	buf = append(buf, '\n')
 	_, err = f.Write(buf)
 	return err
+}
+
+// Recorded reports whether history already holds e's measurement: an
+// entry with the same file, git commit and generation timestamp. A
+// report that was not regenerated since the last run (a bench tool that
+// did not run) is then guarded but not appended again. Reports without
+// a generation timestamp are never treated as recorded.
+func Recorded(history []HistoryEntry, e HistoryEntry) bool {
+	if e.GeneratedAt == "" {
+		return false
+	}
+	for _, h := range history {
+		if h.File == e.File && h.GitCommit == e.GitCommit && h.GeneratedAt == e.GeneratedAt {
+			return true
+		}
+	}
+	return false
 }
 
 // baselineWindow bounds how much history feeds the baseline: the

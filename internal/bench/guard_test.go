@@ -203,6 +203,50 @@ func TestHistoryRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRecordedSkipsUnchangedReports pins the history dedup: a report
+// whose (file, git commit, generated_at) is already in the history is
+// recorded, so benchguard does not append a stale report on every run;
+// a regenerated report, another commit or another file is new, and a
+// report without a timestamp is never deduplicated.
+func TestRecordedSkipsUnchangedReports(t *testing.T) {
+	dir := t.TempDir()
+	report := filepath.Join(dir, "BENCH_sweep.json")
+	write := func(commit, at string) HistoryEntry {
+		t.Helper()
+		raw := []byte(`{"kernel":"gemm","git_commit":"` + commit + `","generated_at":"` + at + `","seq_sec":0.02}`)
+		if err := os.WriteFile(report, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		e, err := EntryFromReport(report, raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	stale := write("64587fe2b0ef", "2026-08-08T20:29:22Z")
+	history := []HistoryEntry{stale}
+	if !Recorded(history, stale) {
+		t.Fatal("an unchanged report is not recognised as recorded")
+	}
+	for _, e := range []HistoryEntry{
+		write("64587fe2b0ef", "2026-08-09T01:00:00Z"),
+		write("520990d6add3", "2026-08-08T20:29:22Z"),
+		write("64587fe2b0ef", ""),
+	} {
+		if Recorded(history, e) {
+			t.Errorf("%s@%s (generated %q) treated as already recorded", e.File, e.GitCommit, e.GeneratedAt)
+		}
+	}
+	other := stale
+	other.File = "BENCH_serve.json"
+	if Recorded(history, other) {
+		t.Error("another file's report treated as recorded")
+	}
+	if Recorded([]HistoryEntry{write("64587fe2b0ef", "")}, write("64587fe2b0ef", "")) {
+		t.Error("untimestamped reports deduplicated")
+	}
+}
+
 func guardedCount(e HistoryEntry) int {
 	n := 0
 	for name := range e.Metrics {

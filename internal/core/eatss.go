@@ -121,20 +121,36 @@ type Selection struct {
 	// Nests documents the per-nest model structure.
 	Nests []NestModel
 	// SolverCalls and SolveTime reproduce the Sec. V-G measurements.
+	// For a formulation that splits into independent variable groups,
+	// SolverCalls sums the calls of every group.
 	SolverCalls int
 	SolveTime   time.Duration
 	// Search is the main solve's deep search telemetry: per-constraint
 	// prune attribution, the search-depth histogram and the incumbent
-	// objective timeline of the Maximize climb (Sec. IV-L / V-G). It is
-	// snapshotted before the secondary shrink pass, whose calls appear
-	// only in SolverCalls above.
+	// objective timeline of the Maximize climb (Sec. IV-L / V-G),
+	// summed over the components. It is snapshotted before the
+	// secondary shrink pass, whose calls appear only in SolverCalls
+	// above.
 	Search smt.Stats
-	// Model is the generated formulation in readable form.
-	Model string
 	// Witness is the solved problem plus the final model, kept so an
 	// independent checker (internal/verify, eatss.Certify) can re-decide
 	// every constraint without re-running the search.
 	Witness *smt.Witness
+
+	// problem and objText are the generated formulation, rendered on
+	// demand by Model.
+	problem *smt.Problem
+	objText string
+}
+
+// Model renders the generated formulation in readable form: the
+// declarations, the constraints and the objective, without the shrink
+// pass's objective pin that the witness problem carries.
+func (s *Selection) Model() string {
+	if s.problem == nil {
+		return ""
+	}
+	return s.problem.String() + "(maximize " + s.objText + ")\n"
 }
 
 // SelectTiles builds and solves the EATSS formulation for a kernel.
@@ -153,44 +169,33 @@ func SelectTilesCtx(ctx context.Context, k *affine.Kernel, g *arch.GPU, opts Opt
 	return SelectTilesAnalyzed(ctx, analysis.AnalyzeCtx(ctx, k, nil), g, opts)
 }
 
-// SelectTilesAnalyzed builds and solves the EATSS formulation from a
-// precomputed analysis artifact. The model generation splits into the
-// tile-independent skeleton carried by prog (reuse, classification, H
-// skeletons, extents) and the cheap per-Options instantiation done here
+// formulation is one generated Sec. IV model, before solving.
+type formulation struct {
+	p *smt.Problem
+	// names are the kernel's loop names, sorted; vars[name] is T_name.
+	names []string
+	vars  map[string]smt.Var
+	obj   smt.Expr
+	// objText renders obj for Selection.Model.
+	objText string
+	nests   []NestModel
+}
+
+// formulate generates the Sec. IV formulation from a precomputed
+// analysis artifact: the tile-independent skeleton carried by prog
+// (reuse, classification, H skeletons, extents) instantiated for opts
 // (warp-alignment steps, the L1/shared capacity split, precision
-// scaling), so e.g. SelectBest's 3 shared-splits x 3 warp-fractions
-// reuse one analysis instead of nine re-derivations. Results are
-// identical to SelectTilesCtx on the same kernel.
-func SelectTilesAnalyzed(ctx context.Context, prog *analysis.Program, g *arch.GPU, opts Options) (*Selection, error) {
-	start := obs.Now()
-	k := prog.Kernel
-	if opts.WarpFraction == 0 {
-		opts.WarpFraction = 1.0
-	}
-	ctx, root := obs.Start(ctx, "core.select_tiles")
-	defer root.End()
-	root.SetStr("kernel", k.Name)
-	root.SetStr("gpu", g.Name)
-	root.SetFloat("split", opts.SplitFactor)
-	root.SetFloat("warpfrac", opts.WarpFraction)
-	_, gen := obs.Start(ctx, "core.model_gen")
+// scaling).
+func formulate(prog *analysis.Program, g *arch.GPU, opts Options) (*formulation, error) {
 	waf := opts.WarpAlignmentFactor(g)
 	elemB := opts.Precision.Bytes()
-
-	p := smt.NewProblem()
-	vars := make(map[string]smt.Var)
-	sel := &Selection{
-		Kernel: k.Name,
-		GPU:    g.Name,
-		Opts:   opts,
-		Tiles:  make(map[string]int64),
-	}
+	f := &formulation{p: smt.NewProblem(), vars: make(map[string]smt.Var)}
+	p, vars := f.p, f.vars
 
 	// --- IV-B: tile variables with warp-aligned bounded domains ---
 	// Bounds intersect across nests sharing a loop name (kernel-wide
 	// tiles, Sec. IV-M ii).
 	upper := make(map[string]int64)
-	var names []string
 	for _, na := range prog.Nests {
 		for _, l := range na.Nest.Loops {
 			hi := g.ThreadsPerBlock
@@ -201,14 +206,14 @@ func SelectTilesAnalyzed(ctx context.Context, prog *analysis.Program, g *arch.GP
 			}
 			if prev, ok := upper[l.Name]; !ok || hi < prev {
 				if !ok {
-					names = append(names, l.Name)
+					f.names = append(f.names, l.Name)
 				}
 				upper[l.Name] = hi
 			}
 		}
 	}
-	sort.Strings(names)
-	for _, name := range names {
+	sort.Strings(f.names)
+	for _, name := range f.names {
 		vars[name] = p.RangeVar("T_"+name, 1, upper[name], waf)
 	}
 
@@ -232,8 +237,6 @@ func SelectTilesAnalyzed(ctx context.Context, prog *analysis.Program, g *arch.GP
 		parallel := append([]string(nil), na.Parallel...)
 		nm.Parallel = parallel
 		if len(parallel) == 0 {
-			gen.End()
-			root.SetStr("error", "no parallel loops")
 			return nil, fmt.Errorf("core: nest %q has no parallel loops", nest.Name)
 		}
 		var bsizeFactors []smt.Expr
@@ -326,21 +329,105 @@ func SelectTilesAnalyzed(ctx context.Context, prog *analysis.Program, g *arch.GP
 			objParts = append(objParts, strings.Join(prod, "*"))
 		}
 
-		sel.Nests = append(sel.Nests, nm)
+		f.nests = append(f.nests, nm)
 	}
+	f.obj = smt.Sum(objTerms...)
+	f.objText = strings.Join(objParts, " + ")
+	return f, nil
+}
 
-	obj := smt.Sum(objTerms...)
-	sel.Model = p.String() + "(maximize " + strings.Join(objParts, " + ") + ")\n"
+// objectives returns the main objective and, when some tile is absent
+// from it, the secondary shrink objective (Sec. IV-G's preference):
+// among objective-optimal solutions, shrink the tiles that do not appear
+// in the objective — serial loops carrying only temporal reuse — to cut
+// liveness.
+func (f *formulation) objectives() []smt.Expr {
+	inObj := map[smt.Var]bool{}
+	f.obj.CollectVars(inObj)
+	var shrink []smt.Expr
+	for _, name := range f.names {
+		if !inObj[f.vars[name]] {
+			shrink = append(shrink, smt.Scale(-1, smt.V(f.vars[name])))
+		}
+	}
+	if len(shrink) == 0 {
+		return []smt.Expr{f.obj}
+	}
+	return []smt.Expr{f.obj, smt.Sum(shrink...)}
+}
+
+// solveParts runs MaximizeParts over one solver per part, each part
+// maximizing its share of the objective at index k, and returns the
+// merged per-part models and the summed solver statistics.
+func solveParts(ctx context.Context, name string, parts []smt.Part, k int) ([]smt.Model, []int64, bool, smt.Stats) {
+	solvers := make([]*smt.Solver, len(parts))
+	objs := make([]smt.Expr, len(parts))
+	stats := make([]smt.Stats, len(parts))
+	for c, pt := range parts {
+		solvers[c] = smt.NewSolver(pt.Problem)
+		solvers[c].Name = name
+		objs[c] = pt.Objs[k]
+	}
+	models, vals, ok := smt.MaximizeParts(ctx, solvers, objs)
+	for c, s := range solvers {
+		stats[c] = s.Stats
+	}
+	return models, vals, ok, smt.MergeStats(stats)
+}
+
+// SelectTilesAnalyzed builds and solves the EATSS formulation from a
+// precomputed analysis artifact. The model generation splits into the
+// tile-independent skeleton carried by prog (reuse, classification, H
+// skeletons, extents) and the cheap per-Options instantiation done here
+// (warp-alignment steps, the L1/shared capacity split, precision
+// scaling), so e.g. SelectBest's 3 shared-splits x 3 warp-fractions
+// reuse one analysis instead of nine re-derivations. Results are
+// identical to SelectTilesCtx on the same kernel.
+//
+// A formulation whose tile variables fall into independent groups (no
+// constraint or objective term spans two of them) is solved one group
+// at a time, with the merge rule of smt.MaximizeParts, so the selection
+// is the one a single search over the whole formulation returns.
+func SelectTilesAnalyzed(ctx context.Context, prog *analysis.Program, g *arch.GPU, opts Options) (*Selection, error) {
+	start := obs.Now()
+	k := prog.Kernel
+	if opts.WarpFraction == 0 {
+		opts.WarpFraction = 1.0
+	}
+	ctx, root := obs.Start(ctx, "core.select_tiles")
+	defer root.End()
+	root.SetStr("kernel", k.Name)
+	root.SetStr("gpu", g.Name)
+	root.SetFloat("split", opts.SplitFactor)
+	root.SetFloat("warpfrac", opts.WarpFraction)
+	_, gen := obs.Start(ctx, "core.model_gen")
+	f, err := formulate(prog, g, opts)
+	if err != nil {
+		gen.End()
+		root.SetStr("error", "no parallel loops")
+		return nil, err
+	}
+	p := f.p
+	sel := &Selection{
+		Kernel:  k.Name,
+		GPU:     g.Name,
+		Opts:    opts,
+		Tiles:   make(map[string]int64, len(f.names)),
+		Nests:   f.nests,
+		problem: p,
+		objText: f.objText,
+	}
 	gen.SetInt("vars", int64(p.NumVars()))
 	gen.SetInt("constraints", int64(p.Constraints()))
 	gen.End()
 	mConsTotal.Add(int64(p.Constraints()))
 
-	// --- IV-L: iterative maximization ---
+	// --- IV-L: iterative maximization, one run per independent part ---
 	sctx, solve := obs.Start(ctx, "core.solve")
-	solver := smt.NewSolver(p)
-	solver.Name = k.Name
-	model, best, ok := solver.MaximizeCtx(sctx, obj)
+	objs := f.objectives()
+	parts := p.Partition(objs...)
+	solve.SetInt("components", int64(len(parts)))
+	models, vals, ok, search := solveParts(sctx, k.Name, parts, 0)
 	if err := ctx.Err(); err != nil {
 		// Cancelled mid-solve: the search was interrupted, so an
 		// unsatisfiable outcome here is indistinguishable from an
@@ -357,57 +444,58 @@ func SelectTilesAnalyzed(ctx context.Context, prog *analysis.Program, g *arch.GP
 		return nil, fmt.Errorf("core: formulation for %s on %s is unsatisfiable (warp fraction %.3f too coarse?)",
 			k.Name, g.Name, opts.WarpFraction)
 	}
+	var best int64
+	for _, v := range vals {
+		best += v
+	}
 	solve.SetInt("objective", best)
-	solve.SetInt("solver_calls", int64(solver.Stats.SolverCalls))
-	solve.SetInt("nodes", solver.Stats.Nodes)
+	solve.SetInt("solver_calls", int64(search.SolverCalls))
+	solve.SetInt("nodes", search.Nodes)
 	solve.End()
 	sel.Objective = best
+	sel.Search = search
+	sel.SolverCalls = search.SolverCalls
 
-	// Secondary pass (Sec. IV-G's preference): among objective-optimal
-	// solutions, shrink the tiles that do not appear in the objective —
-	// serial loops carrying only temporal reuse — to cut liveness.
-	inObj := map[smt.Var]bool{}
-	objVars := map[smt.Var]bool{}
-	obj.CollectVars(objVars)
-	for v := range objVars {
-		inObj[v] = true
-	}
-	var shrink []smt.Expr
-	for _, name := range names {
-		if !inObj[vars[name]] {
-			shrink = append(shrink, smt.Scale(-1, smt.V(vars[name])))
-		}
-	}
-	// Deep search telemetry of the main solve, snapshotted before the
-	// shrink pass below overwrites the incumbent timeline's meaning.
-	sel.Search = solver.Stats
-
-	if len(shrink) > 0 {
+	// Secondary pass: among objective-optimal solutions, shrink the
+	// tiles the objective leaves out. Pinning obj == best pins every
+	// part to its own optimum, since no part can exceed it.
+	witness := p
+	if len(objs) > 1 {
 		shctx, shr := obs.Start(ctx, "core.shrink")
 		mShrinkPasses.Add(1)
-		p.RequireEQ(obj, smt.C(best))
-		solver2 := smt.NewSolver(p)
-		solver2.Name = k.Name + "/shrink"
-		if m2, _, ok2 := solver2.MaximizeCtx(shctx, smt.Sum(shrink...)); ok2 && ctx.Err() == nil {
-			model = m2
+		witness = p.Clone()
+		witness.RequireEQ(f.obj, smt.C(best))
+		pinned := make([]smt.Part, len(parts))
+		for c, pt := range parts {
+			if len(parts) == 1 {
+				pt.Problem = witness
+			} else {
+				pt.Problem = pt.Problem.Clone()
+				pt.Problem.RequireEQ(pt.Objs[0], smt.C(vals[c]))
+			}
+			pinned[c] = pt
 		}
-		solver.Stats.SolverCalls += solver2.Stats.SolverCalls
-		shr.SetInt("solver_calls", int64(solver2.Stats.SolverCalls))
+		m2, _, ok2, st2 := solveParts(shctx, k.Name+"/shrink", pinned, 1)
+		if ok2 && ctx.Err() == nil {
+			models = m2
+		}
+		sel.SolverCalls += st2.SolverCalls
+		shr.SetInt("solver_calls", int64(st2.SolverCalls))
 		shr.End()
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("core: tile selection for %s on %s interrupted: %w", k.Name, g.Name, err)
 		}
 	}
 
-	for _, name := range names {
-		sel.Tiles[name] = model.Value(vars[name])
+	model := smt.Merge(parts, models)
+	for _, name := range f.names {
+		sel.Tiles[name] = model.Value(f.vars[name])
 	}
-	wvars := make(map[string]smt.Var, len(vars))
-	for name, v := range vars {
+	wvars := make(map[string]smt.Var, len(f.vars))
+	for name, v := range f.vars {
 		wvars["T_"+name] = v
 	}
-	sel.Witness = &smt.Witness{Problem: p, Model: model, Vars: wvars}
-	sel.SolverCalls = solver.Stats.SolverCalls
+	sel.Witness = &smt.Witness{Problem: witness, Model: model, Vars: wvars}
 	sel.SolveTime = obs.Now().Sub(start)
 
 	if opts.Verify.ShouldVerify(verifyKey(k.Name, g.Name, opts)) {

@@ -218,7 +218,7 @@ func TestSelectionString(t *testing.T) {
 			t.Errorf("String() missing %q:\n%s", want, s)
 		}
 	}
-	if !strings.Contains(sel.Model, "assert") {
+	if !strings.Contains(sel.Model(), "assert") {
 		t.Error("Model dump missing assertions")
 	}
 }

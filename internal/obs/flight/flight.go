@@ -12,6 +12,10 @@
 //     critical section — no allocation, no unbounded growth; once the
 //     ring is full the oldest events are overwritten.
 //
+// The ring itself is allocated by the first Enable, so a process that
+// never turns the recorder on (a CLI run, a library caller) does not
+// carry it on its heap.
+//
 // Writers never block each other for longer than one slot copy, and a
 // Snapshot always observes fully-written events (the slot store happens
 // inside the same critical section), so dumps are never torn even with
@@ -96,8 +100,9 @@ type Event struct {
 }
 
 // DefaultCapacity is the ring size of the Default recorder: small enough
-// to be a negligible fixed cost (an Event is ~80 bytes, so the default
-// ring holds ~1.3 MB), large enough to cover the tail of a long sweep.
+// to be a modest fixed cost once enabled (an Event is ~100 bytes, so the
+// default ring holds ~1.6 MB), large enough to cover the tail of a long
+// sweep.
 const DefaultCapacity = 16384
 
 // Recorder is a fixed-capacity event ring. The zero value is unusable;
@@ -105,9 +110,10 @@ const DefaultCapacity = 16384
 type Recorder struct {
 	enabled atomic.Bool
 
-	mu   sync.Mutex
-	buf  []Event
-	next uint64 // total events ever recorded; buf[(next-1) % cap] is newest
+	mu       sync.Mutex
+	capacity int
+	buf      []Event // allocated by the first Enable; nil until then
+	next     uint64  // total events ever recorded; buf[(next-1) % cap] is newest
 }
 
 // Default is the process-wide recorder the pipeline packages write to.
@@ -118,11 +124,20 @@ func New(capacity int) *Recorder {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Recorder{buf: make([]Event, capacity)}
+	return &Recorder{capacity: capacity}
 }
 
-// Enable starts recording.
-func (r *Recorder) Enable() { r.enabled.Store(true) }
+// Enable starts recording, allocating the ring on first use. The ring is
+// in place before the enabled flag is published, so a Record that sees
+// the flag always finds a slot to write.
+func (r *Recorder) Enable() {
+	r.mu.Lock()
+	if r.buf == nil {
+		r.buf = make([]Event, r.capacity)
+	}
+	r.mu.Unlock()
+	r.enabled.Store(true)
+}
 
 // Disable stops recording; retained events are kept for dumping.
 func (r *Recorder) Disable() { r.enabled.Store(false) }
@@ -156,8 +171,9 @@ func (r *Recorder) Record(e Event) {
 	r.mu.Unlock()
 }
 
-// Cap returns the ring capacity.
-func (r *Recorder) Cap() int { return len(r.buf) }
+// Cap returns the ring capacity, whether or not the ring is allocated
+// yet.
+func (r *Recorder) Cap() int { return r.capacity }
 
 // Total returns how many events were ever recorded (including
 // overwritten ones).

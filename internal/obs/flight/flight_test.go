@@ -3,6 +3,7 @@ package flight
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -179,6 +180,45 @@ func TestEnabledRecordDoesNotAllocate(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("enabled flight recording allocates %.1f per call, want 0 (ring is preallocated)", allocs)
+	}
+}
+
+// TestDisabledRecorderHoldsNoRing pins the lazy ring: a recorder that
+// was never enabled costs a few words, not DefaultCapacity events, while
+// Cap still reports the capacity it will have. Enabling allocates the
+// ring once, and recording into it stays allocation-free.
+func TestDisabledRecorderHoldsNoRing(t *testing.T) {
+	const n = 16
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rs := make([]*Recorder, n)
+	for i := range rs {
+		rs[i] = New(DefaultCapacity)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per >= 4096 {
+		t.Fatalf("disabled New(DefaultCapacity) allocates %d bytes, want < 4 KB", per)
+	}
+	r := rs[0]
+	if r.Cap() != DefaultCapacity || r.Len() != 0 || len(r.Snapshot()) != 0 {
+		t.Fatalf("Cap/Len/Snapshot = %d/%d/%d before Enable, want %d/0/0",
+			r.Cap(), r.Len(), len(r.Snapshot()), DefaultCapacity)
+	}
+	r.Reset()
+	r.Enable()
+	allocs := testing.AllocsPerRun(1000, func() {
+		r.Incumbent("solve", 1, 42)
+	})
+	if allocs != 0 {
+		t.Fatalf("recording after a lazy Enable allocates %.1f per event, want 0", allocs)
+	}
+	if r.Len() == 0 || r.Cap() != DefaultCapacity {
+		t.Fatalf("Len/Cap after Enable = %d/%d, want >0/%d", r.Len(), r.Cap(), DefaultCapacity)
+	}
+	r.Disable()
+	r.Enable() // a second Enable keeps the ring and its events
+	if got := r.Snapshot(); len(got) == 0 || got[len(got)-1].B != 42 {
+		t.Fatalf("re-Enable lost the retained events: %d left", len(got))
 	}
 }
 

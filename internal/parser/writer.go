@@ -3,6 +3,7 @@ package parser
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/affine"
@@ -30,15 +31,19 @@ func Write(k *affine.Kernel) string {
 	}
 
 	if len(k.Arrays) > 0 {
-		parts := make([]string, len(k.Arrays))
+		b.WriteString("  array ")
 		for i, a := range k.Arrays {
-			var dims strings.Builder
-			for _, d := range a.Dims {
-				fmt.Fprintf(&dims, "[%s]", d.String())
+			if i > 0 {
+				b.WriteString(", ")
 			}
-			parts[i] = a.Name + dims.String()
+			b.WriteString(a.Name)
+			for _, d := range a.Dims {
+				b.WriteByte('[')
+				d.Render(&b)
+				b.WriteByte(']')
+			}
 		}
-		fmt.Fprintf(&b, "  array %s\n", strings.Join(parts, ", "))
+		b.WriteByte('\n')
 	}
 
 	for _, n := range k.Nests {
@@ -51,12 +56,18 @@ func Write(k *affine.Kernel) string {
 		}
 		fmt.Fprintf(&b, "nest %s {\n", n.Name)
 		for _, l := range n.Loops {
-			fmt.Fprintf(&b, "    for %s in %s..%s\n", l.Name, l.Lower.String(), l.Upper.String())
+			b.WriteString("    for ")
+			b.WriteString(l.Name)
+			b.WriteString(" in ")
+			l.Lower.Render(&b)
+			b.WriteString("..")
+			l.Upper.Render(&b)
+			b.WriteByte('\n')
 		}
 		b.WriteString("    {\n")
 		for _, st := range n.Body {
 			b.WriteString("      ")
-			b.WriteString(formatStatement(st))
+			writeStatement(&b, st)
 			b.WriteString("\n")
 		}
 		b.WriteString("    }\n  }\n")
@@ -65,11 +76,11 @@ func Write(k *affine.Kernel) string {
 	return b.String()
 }
 
-// formatStatement renders one statement in DSL syntax.
-func formatStatement(st affine.Statement) string {
-	var writes, reads []affine.Ref
-	for _, r := range st.Refs {
-		if r.Write {
+// writeStatement writes one statement in DSL syntax.
+func writeStatement(b *strings.Builder, st affine.Statement) {
+	var writes, reads []*affine.Ref
+	for i := range st.Refs {
+		if r := &st.Refs[i]; r.Write {
 			writes = append(writes, r)
 		} else {
 			reads = append(reads, r)
@@ -80,34 +91,33 @@ func formatStatement(st affine.Statement) string {
 		op = "+="
 		// Drop the implicit accumulator read (re-added by the parser).
 		if len(writes) == 1 {
-			var kept []affine.Ref
-			dropped := false
-			for _, r := range reads {
-				if !dropped && r.String() == refNoWrite(writes[0]).String() {
-					dropped = true
-					continue
+			target := writes[0].String()
+			for i, r := range reads {
+				if r.String() == target {
+					reads = append(reads[:i], reads[i+1:]...)
+					break
 				}
-				kept = append(kept, r)
 			}
-			reads = kept
 		}
 	}
-	var rhs []string
-	for _, r := range reads {
-		rhs = append(rhs, r.String())
-	}
-	if len(rhs) == 0 {
-		rhs = []string{"0"}
-	}
-	lhs := ""
+	b.WriteString(st.Name)
+	b.WriteString(": ")
 	if len(writes) > 0 {
-		lhs = writes[0].String()
+		writes[0].Render(b)
 	}
-	return fmt.Sprintf("%s: %s %s %s @flops(%d)",
-		st.Name, lhs, op, strings.Join(rhs, " * "), st.FlopsPerIter)
-}
-
-func refNoWrite(r affine.Ref) affine.Ref {
-	r.Write = false
-	return r
+	b.WriteByte(' ')
+	b.WriteString(op)
+	b.WriteByte(' ')
+	if len(reads) == 0 {
+		b.WriteByte('0')
+	}
+	for i, r := range reads {
+		if i > 0 {
+			b.WriteString(" * ")
+		}
+		r.Render(b)
+	}
+	b.WriteString(" @flops(")
+	b.WriteString(strconv.FormatInt(st.FlopsPerIter, 10))
+	b.WriteByte(')')
 }

@@ -105,3 +105,13 @@ func (p *Problem) String() string {
 	}
 	return b.String()
 }
+
+// Clone returns a copy of p that later Require calls extend without
+// changing p.
+func (p *Problem) Clone() *Problem {
+	return &Problem{
+		names:   p.names[:len(p.names):len(p.names)],
+		domains: p.domains[:len(p.domains):len(p.domains)],
+		cons:    append([]Constraint(nil), p.cons...),
+	}
+}

@@ -110,6 +110,12 @@ type Solver struct {
 	descend bool
 	// extra holds objective-improvement constraints added by Maximize.
 	extra []Constraint
+	// order, rank and consLast are the search skeleton every round of
+	// the solver shares, built with domains on the first Solve: the
+	// static variable order, each variable's position in it, and for
+	// each base constraint the position of its last-assigned variable
+	// (-1 for a constraint over constants only).
+	order, rank, consLast []int
 }
 
 // NewSolver returns a solver for p.
@@ -178,6 +184,40 @@ func (s *Solver) propagate() {
 	}
 }
 
+// index builds the solver's search skeleton (see Solver.order). The
+// static variable order is most-constrained (smallest declared domain)
+// first. It uses the declared domains, not the propagated ones, so the
+// visit order — and therefore tie-breaking among optimal models — is
+// independent of propagation.
+func (s *Solver) index() {
+	n := s.p.NumVars()
+	s.order = make([]int, n)
+	for i := range s.order {
+		s.order[i] = i
+	}
+	sort.SliceStable(s.order, func(a, b int) bool {
+		return len(s.p.domains[s.order[a]]) < len(s.p.domains[s.order[b]])
+	})
+	s.rank = make([]int, n)
+	for pos, v := range s.order {
+		s.rank[v] = pos
+	}
+	s.consLast = make([]int, len(s.p.cons))
+	for ci, c := range s.p.cons {
+		s.consLast[ci] = lastRank(c, s.rank)
+	}
+}
+
+// lastRank returns the order position of c's last-assigned variable, or
+// -1 when c reads no variable.
+func lastRank(c Constraint, rank []int) int {
+	last := -1
+	for _, v := range varsOf(c.L, c.R) {
+		last = max(last, rank[v])
+	}
+	return last
+}
+
 // Solve searches for a model satisfying all constraints. ok is false when
 // the problem is unsatisfiable.
 func (s *Solver) Solve() (Model, bool) { return s.SolveCtx(context.Background()) }
@@ -233,32 +273,18 @@ func (s *Solver) SolveCtx(ctx context.Context) (Model, bool) {
 		t0 := s.Stats.Tightenings
 		s.propagate()
 		mTightenings.Add(s.Stats.Tightenings - t0)
+		s.index()
 	}
 	for _, d := range s.domains {
 		if len(d) == 0 {
 			return nil, false
 		}
 	}
-
-	// Static variable order: most-constrained (smallest declared domain)
-	// first. Uses the declared domains, not the propagated ones, so the
-	// visit order — and therefore tie-breaking among optimal models — is
-	// independent of propagation.
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return len(s.p.domains[order[a]]) < len(s.p.domains[order[b]])
-	})
+	order := s.order
 
 	// Group constraints (by index, so prunes can be attributed) by the
 	// highest-ordered variable they mention, so each is checked exactly
 	// when it becomes fully assigned.
-	rank := make([]int, n)
-	for pos, v := range order {
-		rank[v] = pos
-	}
 	all := make([]Constraint, 0, len(s.p.cons)+len(s.extra))
 	all = append(all, s.p.cons...)
 	all = append(all, s.extra...)
@@ -275,14 +301,11 @@ func (s *Solver) SolveCtx(ctx context.Context) (Model, bool) {
 	byLast := make([][]int, n)
 	var constOnly []int
 	for ci, c := range all {
-		vars := make(map[Var]bool)
-		c.L.CollectVars(vars)
-		c.R.CollectVars(vars)
-		last := -1
-		for v := range vars {
-			if rank[v] > last {
-				last = rank[v]
-			}
+		var last int
+		if ci < len(s.consLast) {
+			last = s.consLast[ci]
+		} else {
+			last = lastRank(c, s.rank)
 		}
 		if last < 0 {
 			constOnly = append(constOnly, ci)
