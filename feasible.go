@@ -1,8 +1,6 @@
 package eatss
 
 import (
-	"fmt"
-
 	"repro/internal/analysis"
 	"repro/internal/arch"
 	"repro/internal/feas"
@@ -32,12 +30,18 @@ func (p *Program) FeasibleRegion(g *GPU, cfg RunConfig) *FeasibleRegion {
 	return feasRegion(p.prog, g, feas.SweepConfig(cfg.Precision))
 }
 
+// feasKey keys one memoized feasibility region: the whole GPU
+// description (two presets may share a Name) and the Config.
+type feasKey struct {
+	gpu arch.GPU
+	cfg feas.Config
+}
+
 // feasRegion memoizes one Derive per (GPU, Config) on the analysis
 // artifact, so every sweep worker and every request sharing the
 // Program shares the region.
 func feasRegion(prog *analysis.Program, g *arch.GPU, cfg feas.Config) *feas.Region {
-	key := fmt.Sprintf("feas|%+v|%+v", *g, cfg)
-	return prog.Memo(key, func() any { return feas.Derive(prog, g, cfg) }).(*feas.Region)
+	return prog.Memo(feasKey{*g, cfg}, func() any { return feas.Derive(prog, g, cfg) }).(*feas.Region)
 }
 
 // CertifyPrune independently replays a prune certificate: the claimed

@@ -107,19 +107,21 @@ type Program struct {
 	fp     string
 
 	stashMu sync.Mutex
-	stash   map[string]any
+	stash   map[any]any
 }
 
 // Memo returns the value stashed under key, building and caching it on
 // first use. It is the staging hook derived artifacts hang off the
 // Program the way the per-nest skeletons do: internal/symbolic memoizes
 // one closed-form plan per (GPU, options) here, so every sweep worker
-// sharing the Program shares the plan. build must be pure — the stash
+// sharing the Program shares the plan. key must be comparable; a struct
+// of the inputs the artifact depends on keys it without formatting
+// anything. build must be pure — the stash
 // does not change the Program's observable immutability, it only caches
 // functions of it. Safe for concurrent use; concurrent first calls for
 // the same key may run build more than once, and the first stored value
 // wins (all callers then observe the same value).
-func (p *Program) Memo(key string, build func() any) any {
+func (p *Program) Memo(key any, build func() any) any {
 	p.stashMu.Lock()
 	if v, ok := p.stash[key]; ok {
 		p.stashMu.Unlock()
@@ -135,7 +137,7 @@ func (p *Program) Memo(key string, build func() any) any {
 		return prev
 	}
 	if p.stash == nil {
-		p.stash = make(map[string]any)
+		p.stash = make(map[any]any)
 	}
 	p.stash[key] = v
 	return v

@@ -196,6 +196,9 @@ func MapNestReuse(n *affine.Nest, reuse *deps.NestReuse, params map[string]int64
 	// thread-x at all (a broadcast: every lane reads the same address,
 	// one transaction).
 	xName := m.MappedLoops[0]
+	if len(reuse.Refs) > 0 {
+		m.Refs = make([]MappedRef, 0, len(reuse.Refs))
+	}
 	for _, rr := range reuse.Refs {
 		mr := MappedRef{
 			Ref:       rr.Ref,

@@ -498,7 +498,8 @@ func SelectTilesAnalyzed(ctx context.Context, prog *analysis.Program, g *arch.GP
 	sel.Witness = &smt.Witness{Problem: witness, Model: model, Vars: wvars}
 	sel.SolveTime = obs.Now().Sub(start)
 
-	if opts.Verify.ShouldVerify(verifyKey(k.Name, g.Name, opts)) {
+	// Only Sample mode reads the key, so only it pays for formatting one.
+	if v := opts.Verify; v == verify.All || v == verify.Sample && v.ShouldVerify(verifyKey(k.Name, g.Name, opts)) {
 		if err := verify.CertifySelection(selectionFacts(prog, g, sel)); err != nil {
 			root.SetStr("verify_error", err.Error())
 			mVerifyFailures.Add(1)

@@ -221,8 +221,11 @@ func (nr *NestReuse) L1Refs() []RefReuse {
 // preserves first-appearance order; Class/Write are OR-ed across merged
 // references (a write anywhere makes the merged reference a write).
 func UniqueArrayRefs(refs []RefReuse) []RefReuse {
-	seen := make(map[string]int)
+	seen := make(map[string]int, len(refs))
 	var out []RefReuse
+	if len(refs) > 0 {
+		out = make([]RefReuse, 0, len(refs))
+	}
 	for _, rr := range refs {
 		key := rr.Ref.String()
 		if i, ok := seen[key]; ok {

@@ -1,6 +1,7 @@
 package gpusim
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/affine"
@@ -101,7 +102,7 @@ type UnionSpan struct {
 // re-evaluates it per tile point.
 func UnionSpans(refs []affine.Ref) []UnionSpan {
 	type span struct {
-		iters      map[string]bool
+		iters      []string // distinct
 		minC, maxC int64
 		set        bool
 	}
@@ -109,11 +110,13 @@ func UnionSpans(refs []affine.Ref) []UnionSpan {
 	for _, r := range refs {
 		for p, s := range r.Subscripts {
 			for len(spans) <= p {
-				spans = append(spans, span{iters: make(map[string]bool)})
+				spans = append(spans, span{})
 			}
 			sp := &spans[p]
 			for _, it := range s.IterNames() {
-				sp.iters[it] = true
+				if !slices.Contains(sp.iters, it) {
+					sp.iters = append(sp.iters, it)
+				}
 			}
 			if !sp.set {
 				sp.minC, sp.maxC, sp.set = s.Const, s.Const, true
@@ -129,12 +132,8 @@ func UnionSpans(refs []affine.Ref) []UnionSpan {
 	}
 	out := make([]UnionSpan, len(spans))
 	for i, sp := range spans {
-		us := UnionSpan{Spread: sp.maxC - sp.minC}
-		for it := range sp.iters {
-			us.Iters = append(us.Iters, it)
-		}
-		sort.Strings(us.Iters)
-		out[i] = us
+		sort.Strings(sp.iters)
+		out[i] = UnionSpan{Iters: sp.iters, Spread: sp.maxC - sp.minC}
 	}
 	return out
 }

@@ -179,7 +179,9 @@ lexeme:
 // lookahead).
 func lexAll(src string) ([]token, error) {
 	lx := newLexer(src)
-	var toks []token
+	// Kernel sources hold one token per 2–5 bytes: sizing for the
+	// densest case up front spares the doubling garbage of growing.
+	toks := make([]token, 0, len(src)/2+8)
 	for {
 		t, err := lx.next()
 		if err != nil {

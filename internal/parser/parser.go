@@ -535,6 +535,9 @@ func (p *parser) affineTerm(sign int64) (affine.Expr, error) {
 		if err != nil {
 			return affine.Expr{}, err
 		}
+		if sign == 1 {
+			return atom, nil // fresh: scaling it by one would only copy it
+		}
 		return atom.Scale(sign), nil
 	default:
 		return affine.Expr{}, p.errorf(t, "expected affine term, found %s", t)

@@ -203,21 +203,7 @@ type Constraint struct {
 
 // Holds evaluates the constraint under a complete model.
 func (c Constraint) Holds(m Model) bool {
-	l, r := c.L.Eval(m), c.R.Eval(m)
-	switch c.Op {
-	case LE:
-		return l <= r
-	case LT:
-		return l < r
-	case GE:
-		return l >= r
-	case GT:
-		return l > r
-	case EQ:
-		return l == r
-	default:
-		return l != r
-	}
+	return compare(c.Op, c.L.Eval(m), c.R.Eval(m))
 }
 
 // HoldsBig decides the constraint under a complete model in arbitrary
@@ -247,25 +233,4 @@ func (c Constraint) HoldsBig(m Model) bool {
 // resolving variable names through the owning problem.
 func (c Constraint) Render(p *Problem) string {
 	return fmt.Sprintf("(%s %s %s)", c.Op, c.L.render(p.names), c.R.render(p.names))
-}
-
-// feasible reports whether the constraint can possibly hold given variable
-// bounds (interval reasoning; NE is never pruned).
-func (c Constraint) feasible(lo, hi []int64) bool {
-	li := c.L.Bounds(lo, hi)
-	ri := c.R.Bounds(lo, hi)
-	switch c.Op {
-	case LE:
-		return li.Lo <= ri.Hi
-	case LT:
-		return li.Lo < ri.Hi
-	case GE:
-		return li.Hi >= ri.Lo
-	case GT:
-		return li.Hi > ri.Lo
-	case EQ:
-		return li.Lo <= ri.Hi && ri.Lo <= li.Hi
-	default:
-		return true
-	}
 }

@@ -2,7 +2,7 @@ package smt
 
 import (
 	"context"
-	"sort"
+	"slices"
 )
 
 // Part is one connected component of a Problem: a sub-problem over the
@@ -177,11 +177,11 @@ func MaximizeParts(ctx context.Context, solvers []*Solver, objs []Expr) (models 
 			continue
 		}
 		s.descend = true
-		s.extra = []Constraint{{L: objs[c], Op: GE, R: C(vals[c]), Label: "objective"}}
+		s.enforce(GE, vals[c]) // objs[c] is still attached from MaximizeCtx
 		if m, _, sat := s.solveRound(ctx, objs[c], 1); sat {
 			models[c] = m
 		}
-		s.extra = nil
+		s.objOn = false
 	}
 	return models, vals, true
 }
@@ -252,16 +252,29 @@ func terms(e Expr) []Expr {
 
 // varsOf returns the distinct variables the expressions read, ascending.
 func varsOf(es ...Expr) []Var {
-	set := make(map[Var]bool)
+	var out []Var
 	for _, e := range es {
-		e.CollectVars(set)
+		out = appendVars(out, e)
 	}
-	out := make([]Var, 0, len(set))
-	for v := range set {
-		out = append(out, v)
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// appendVars appends every variable occurrence in e.
+func appendVars(dst []Var, e Expr) []Var {
+	switch e := e.(type) {
+	case varExpr:
+		dst = append(dst, e.v)
+	case sumExpr:
+		for _, t := range e.terms {
+			dst = appendVars(dst, t)
+		}
+	case mulExpr:
+		for _, f := range e.factors {
+			dst = appendVars(dst, f)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return dst
 }
 
 // remap rewrites e over renumbered variables: variable v becomes to[v].

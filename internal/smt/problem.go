@@ -40,15 +40,21 @@ func (p *Problem) RangeVar(name string, lo, hi, step int64) Var {
 	if step < 1 {
 		step = 1
 	}
-	var d []int64
 	start := ((lo + step - 1) / step) * step
 	if start < step {
 		start = step
 	}
+	var d []int64
+	if start <= hi {
+		d = make([]int64, 0, (hi-start)/step+1)
+	}
 	for v := start; v <= hi; v += step {
 		d = append(d, v)
 	}
-	return p.IntVar(name, d)
+	// Ascending and distinct by construction: no IntVar normalisation.
+	p.names = append(p.names, name)
+	p.domains = append(p.domains, d)
+	return Var(len(p.names) - 1)
 }
 
 // NumVars returns the number of declared variables.

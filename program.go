@@ -280,13 +280,22 @@ type planOrErr struct {
 	err  error
 }
 
+// planKey keys one memoized closed-form plan: the whole GPU description
+// and the RunConfig fields Derive reads, params rendered canonically.
+type planKey struct {
+	gpu         GPU
+	useShared   bool
+	sharedQuota int64
+	prec        Precision
+	params      string
+}
+
 // symbolicPlan returns the Program's closed-form plan for (g, cfg),
 // deriving it on first use and staging it on the analysis artifact the
 // way the per-nest skeletons are staged: every sweep worker and every
 // later call sharing the Program shares the plan.
 func symbolicPlan(prog *analysis.Program, g *GPU, cfg RunConfig) (*symbolic.Plan, error) {
-	key := fmt.Sprintf("symbolic|%+v|%t|%d|%v|%s",
-		*g, cfg.UseShared, cfg.SharedQuota, cfg.Precision, tileKey(cfg.Params))
+	key := planKey{*g, cfg.UseShared, cfg.SharedQuota, cfg.Precision, tileKey(cfg.Params)}
 	v := prog.Memo(key, func() any {
 		plan, err := symbolic.Derive(prog, g, symbolic.Config{
 			UseShared:   cfg.UseShared,
