@@ -1,8 +1,12 @@
 GO ?= go
 
-.PHONY: all vet build test race sweep-race sweep-bench analysis-bench serve-bench obs-bench bench-guard profile-demo lint-gate selfcheck symbolic-parity symbolic-bench feas-bench check clean
+.PHONY: all fmt vet build test race sweep-race sweep-bench analysis-bench serve-bench obs-bench bench-guard profile-demo lint-gate selfcheck symbolic-parity symbolic-bench feas-bench check clean
 
 all: check
+
+# fmt fails when any Go file is not gofmt-formatted, listing the files.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -117,20 +121,21 @@ lint-gate:
 # the *Ctx context-threading contract, the "no raw time.Now under
 # internal/ outside obs and bench" rule, the metric-name lint
 # (literal snake_case dot-namespaced names, each registered exactly
-# once), and the "no context.Background()/TODO() under internal/serve
-# or internal/sweep" request-path rule.
+# once), the "no context.Background()/TODO() under internal/serve
+# or internal/sweep" request-path rule, and the "only the feas
+# lowering declares Sec. IV constraints" rule.
 selfcheck:
 	$(GO) run ./tools/selfcheck .
 
-# check is the gate a change must pass before it lands: static analysis
-# (go vet plus the repo's own selfcheck analyzer), a full build, the
+# check is the gate a change must pass before it lands: formatting,
+# static analysis (go vet plus the repo's own selfcheck analyzer), a full build, the
 # kernel lint gate, the concurrency race gate, the staged-compilation
 # parity/benchmark gate, the symbolic-backend parity and speedup gates,
 # the static-feasibility soundness gate, the service load test, the
 # benchmark regression guard over the BENCH history, the
 # zero-cost-observability guard, the attribution-profiler demo, and the
 # full test suite under the race detector.
-check: vet build selfcheck lint-gate sweep-race analysis-bench symbolic-parity symbolic-bench feas-bench serve-bench bench-guard obs-bench profile-demo race
+check: fmt vet build selfcheck lint-gate sweep-race analysis-bench symbolic-parity symbolic-bench feas-bench serve-bench bench-guard obs-bench profile-demo race
 
 clean:
 	$(GO) clean ./...

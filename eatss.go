@@ -296,11 +296,11 @@ type Best struct {
 
 // SharedSplits are the three shared-memory levels the paper generates
 // configurations for (Sec. V-B: 0%, 50%, 67%).
-var SharedSplits = []float64{0.0, 0.5, 0.67}
+var SharedSplits = core.SharedSplits
 
 // WarpFractions are tried coarsest-first; finer fractions unlock
 // high-dimensional kernels (Sec. V-D).
-var WarpFractions = []float64{0.5, 0.25, 0.125}
+var WarpFractions = core.WarpFractions
 
 // SelectBest runs the paper's full protocol: generate one EATSS
 // configuration per shared-memory split (falling back to finer warp
@@ -355,9 +355,9 @@ func selectBestAnalyzed(ctx context.Context, prog *analysis.Program, g *arch.GPU
 			// this (split x warp-fraction) formulation's region empty,
 			// the solver call is guaranteed UNSAT — record the same
 			// failure it would report without paying for the search.
-			// The region mirrors the formulation exactly, so the
+			// The region is the formulation the solve would lower, so the
 			// protocol's outcome is unchanged; only the solver time is.
-			if cert := feasRegion(prog, g, feas.ModelConfig(split, wf, prec)).Empty; cert != nil {
+			if cert := feas.Cached(prog, g, feas.ModelConfig(split, wf, prec)).Empty; cert != nil {
 				staticSkips++
 				mStaticSkips.Add(1)
 				err = fmt.Errorf("eatss: %s on %s statically infeasible (split %.2f, warpfrac %.3f): %s",

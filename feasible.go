@@ -1,8 +1,6 @@
 package eatss
 
 import (
-	"repro/internal/analysis"
-	"repro/internal/arch"
 	"repro/internal/feas"
 	"repro/internal/verify"
 )
@@ -19,29 +17,15 @@ type FeasibleRegion = feas.Region
 // violated constraint and its interval witness (see CertifyPrune).
 type PruneCert = feas.PruneCert
 
-// FeasibleRegion derives (and memoizes on the Program, like the
-// symbolic plans) the sweep-prunable feasibility region for g under
-// cfg: the option-free constraint family — the problem-size-aware tile
-// domains and the register bound — that must hold for a point to be
-// feasible under any model Options. Only cfg.Precision participates;
+// FeasibleRegion derives (and memoizes on the Program through
+// feas.Cached, like the symbolic plans) the sweep-prunable feasibility
+// region for g under cfg: the option-free constraint family — the
+// problem-size-aware tile domains and the register bound — that must
+// hold for a point to be feasible under any model Options. Only cfg.Precision participates;
 // a service caching Programs per fingerprint therefore caches regions
 // per fingerprint too.
 func (p *Program) FeasibleRegion(g *GPU, cfg RunConfig) *FeasibleRegion {
-	return feasRegion(p.prog, g, feas.SweepConfig(cfg.Precision))
-}
-
-// feasKey keys one memoized feasibility region: the whole GPU
-// description (two presets may share a Name) and the Config.
-type feasKey struct {
-	gpu arch.GPU
-	cfg feas.Config
-}
-
-// feasRegion memoizes one Derive per (GPU, Config) on the analysis
-// artifact, so every sweep worker and every request sharing the
-// Program shares the region.
-func feasRegion(prog *analysis.Program, g *arch.GPU, cfg feas.Config) *feas.Region {
-	return prog.Memo(feasKey{*g, cfg}, func() any { return feas.Derive(prog, g, cfg) }).(*feas.Region)
+	return feas.Cached(p.prog, g, feas.SweepConfig(cfg.Precision))
 }
 
 // CertifyPrune independently replays a prune certificate: the claimed

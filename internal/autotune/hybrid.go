@@ -36,14 +36,14 @@ func HybridTune(k *affine.Kernel, g *arch.GPU, space []map[string]int64, cfg Con
 	// fallback for high-dimensional kernels. The three splits' solves
 	// are independent, so they run on the worker pool; folding in split
 	// order keeps the seed list deterministic.
-	splits := []float64{0.0, 0.5, 0.67}
-	seedOut, seedDone, _ := sweep.Map(context.Background(), cfg.Workers, splits,
+	seedOut, seedDone, _ := sweep.Map(context.Background(), cfg.Workers, core.SharedSplits,
 		func(wctx context.Context, _ int, split float64) map[string]int64 {
-			for _, wf := range []float64{0.5, 0.25, 0.125} {
+			for _, wf := range core.WarpFractions {
 				// The static region decides emptiness without the solver:
 				// an Empty certificate proves this (split, warp-fraction)
-				// sibling UNSAT, so the solver call is skipped outright.
-				if feas.Derive(prog, g, feas.ModelConfig(split, wf, cfg.Precision)).Empty != nil {
+				// sibling UNSAT, so the solver call is skipped outright;
+				// otherwise the solve lowers the same memoized region.
+				if feas.Cached(prog, g, feas.ModelConfig(split, wf, cfg.Precision)).Empty != nil {
 					continue
 				}
 				opts := core.Options{

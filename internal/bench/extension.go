@@ -229,7 +229,7 @@ func PrecisionStudy(g *arch.GPU, kernels []string) *AblationResult {
 		params := ParamsFor(name, g)
 
 		solve := func(prec affine.Precision) (map[string]int64, bool) {
-			for _, wf := range []float64{0.5, 0.25, 0.125} {
+			for _, wf := range core.WarpFractions {
 				opts := core.Options{SplitFactor: 0.5, WarpFraction: wf,
 					Precision: prec, ProblemSizeAware: true}
 				if sel, err := core.SelectTiles(k.WithParams(params), g, opts); err == nil {

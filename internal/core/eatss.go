@@ -16,6 +16,12 @@
 //
 // and solves it with the iterative improvement loop of IV-L
 // (OBJ_{n+1} > OBJ_n until UNSAT) on the finite-domain solver.
+//
+// The constraint system (IV-B..IV-J) is not written out here: it is the
+// Program's feas.Region for the Options, memoized on the analysis
+// artifact and lowered onto the solver by Region.Lower. core adds the
+// per-nest model metadata (NestModel) and the IV-K objective, and
+// Explain reads the same region's predicates at the selected tiles.
 package core
 
 import (
@@ -28,6 +34,7 @@ import (
 	"repro/internal/affine"
 	"repro/internal/analysis"
 	"repro/internal/arch"
+	"repro/internal/feas"
 	"repro/internal/obs"
 	"repro/internal/smt"
 	"repro/internal/verify"
@@ -93,6 +100,16 @@ func (o Options) WarpAlignmentFactor(g *arch.GPU) int64 {
 	}
 	return waf
 }
+
+// SharedSplits are the three shared-memory levels the paper generates
+// configurations for (Sec. V-B: 0%, 50%, 67%): with WarpFractions, the
+// (split x warp-fraction) sibling grid SelectBest, the linter and the
+// autotuners explore.
+var SharedSplits = []float64{0.0, 0.5, 0.67}
+
+// WarpFractions are tried coarsest-first; finer fractions unlock
+// high-dimensional kernels (Sec. V-D).
+var WarpFractions = []float64{0.5, 0.25, 0.125}
 
 // NestModel records how one nest contributed to the formulation.
 type NestModel struct {
@@ -181,43 +198,45 @@ type formulation struct {
 	nests   []NestModel
 }
 
+// modelConfig is the feas.Config whose region is the formulation for
+// opts: every constraint family on, the rest as the options choose.
+func modelConfig(opts Options) feas.Config {
+	return feas.Config{
+		Precision:               opts.Precision,
+		SplitFactor:             opts.SplitFactor,
+		WarpFraction:            opts.WarpFraction,
+		ProblemSizeAware:        opts.ProblemSizeAware,
+		EnforceThreadBlockLimit: opts.EnforceThreadBlockLimit,
+		Capacity:                true,
+	}
+}
+
+// consCounters counts emitted constraints per Sec. IV label.
+var consCounters = map[string]*obs.Counter{
+	"block-limit":     mConsBlockLimit,
+	"register":        mConsRegister,
+	"shared-capacity": mConsShared,
+	"l1-capacity":     mConsL1,
+	"l2-share":        mConsL2,
+}
+
 // formulate generates the Sec. IV formulation from a precomputed
-// analysis artifact: the tile-independent skeleton carried by prog
-// (reuse, classification, H skeletons, extents) instantiated for opts
-// (warp-alignment steps, the L1/shared capacity split, precision
-// scaling).
+// analysis artifact. The constraint system is the program's feas.Region
+// for opts (memoized on prog), lowered onto a fresh smt.Problem; what
+// formulate adds is the per-nest model metadata and the IV-K objective.
 func formulate(prog *analysis.Program, g *arch.GPU, opts Options) (*formulation, error) {
 	waf := opts.WarpAlignmentFactor(g)
-	elemB := opts.Precision.Bytes()
-	f := &formulation{p: smt.NewProblem(), vars: make(map[string]smt.Var)}
-	p, vars := f.p, f.vars
-
-	// --- IV-B: tile variables with warp-aligned bounded domains ---
-	// Bounds intersect across nests sharing a loop name (kernel-wide
-	// tiles, Sec. IV-M ii).
-	upper := make(map[string]int64)
-	for _, na := range prog.Nests {
-		for _, l := range na.Nest.Loops {
-			hi := g.ThreadsPerBlock
-			if opts.ProblemSizeAware {
-				if ext := na.Extents[l.Name]; ext < hi {
-					hi = ext
-				}
-			}
-			if prev, ok := upper[l.Name]; !ok || hi < prev {
-				if !ok {
-					f.names = append(f.names, l.Name)
-				}
-				upper[l.Name] = hi
-			}
-		}
+	region := feas.Cached(prog, g, modelConfig(opts))
+	f := &formulation{}
+	f.p, f.vars = region.Lower()
+	for _, b := range region.Bounds {
+		f.names = append(f.names, b.Name)
 	}
-	sort.Strings(f.names)
-	for _, name := range f.names {
-		vars[name] = p.RangeVar("T_"+name, 1, upper[name], waf)
+	for _, pr := range region.Preds {
+		consCounters[pr.Label].Add(1)
 	}
 
-	// --- per-nest constraints and objective terms ---
+	// --- per-nest metadata and objective terms ---
 	var objTerms []smt.Expr
 	var objParts []string
 	seenParallelProd := make(map[string]bool)
@@ -230,6 +249,7 @@ func formulate(prog *analysis.Program, g *arch.GPU, opts Options) (*formulation,
 			Nest:    nest.Name,
 			CMALoop: reuse.CMALoop,
 			H:       make(map[string]int64),
+			Refs:    reuse.DistinctLineRefs,
 		}
 
 		// IV-F: up to the first three parallel loops define B_size
@@ -239,64 +259,17 @@ func formulate(prog *analysis.Program, g *arch.GPU, opts Options) (*formulation,
 		if len(parallel) == 0 {
 			return nil, fmt.Errorf("core: nest %q has no parallel loops", nest.Name)
 		}
-		var bsizeFactors []smt.Expr
-		for _, name := range parallel {
-			bsizeFactors = append(bsizeFactors, smt.V(vars[name]))
-		}
-		bsize := smt.Mul(bsizeFactors...)
-		if opts.EnforceThreadBlockLimit {
-			p.RequireLabeled("block-limit", bsize, smt.LE, smt.C(g.ThreadsPerBlock))
-			mConsBlockLimit.Add(1)
-		}
 
-		// IV-G / IV-I: REG_SM = B_size x no.references x FP_factor.
-		nm.Refs = reuse.DistinctLineRefs
-		regSM := smt.Mul(bsize, smt.C(nm.Refs*opts.Precision.Factor()))
-		p.RequireLabeled("register", regSM, smt.LE, smt.C(g.RegsPerSM))
-		mConsRegister.Add(1)
-
-		// IV-C volumes + IV-E split into L1/shared capacity sums, from
-		// the precomputed per-array skeletons. Capacities are in
-		// loop-iteration units: bytes / element size (Sec. IV-J "scaled
-		// down based on the byte width"). A zero split gives the whole
-		// pool to the L1 cache (Sec. IV-J): every reference is
-		// cache-mapped regardless of its classification.
-		var l1Vols, shVols []smt.Expr
+		// IV-E: the L1/shared reference split the capacity predicates
+		// were built from (a zero split cache-maps every reference).
 		for _, av := range na.Arrays {
 			if len(av.Iters) == 0 {
-				continue // scalar: negligible volume
+				continue // scalar: no capacity term
 			}
-			factors := make([]smt.Expr, len(av.Iters))
-			for i, it := range av.Iters {
-				factors[i] = smt.V(vars[it])
-			}
-			vol := smt.Mul(factors...)
 			if av.L1 || opts.SplitFactor == 0 {
-				l1Vols = append(l1Vols, vol)
 				nm.L1Arrays = append(nm.L1Arrays, av.Array)
 			} else {
-				shVols = append(shVols, vol)
 				nm.SharedArrays = append(nm.SharedArrays, av.Array)
-			}
-		}
-		pool := g.L1SharedBytes / elemB
-		shCap := int64(opts.SplitFactor * float64(pool))
-		l1Cap := pool - shCap
-		if len(shVols) > 0 {
-			p.RequireLabeled("shared-capacity", smt.Sum(shVols...), smt.LE, smt.C(shCap))
-			mConsShared.Add(1)
-		}
-		if len(l1Vols) > 0 {
-			if opts.SplitFactor >= 1.0 {
-				// IV-H: with the whole pool given to shared memory the
-				// L1 constraint is dropped and the per-SM L2 share
-				// bounds the cache-mapped volumes instead.
-				l2Cap := g.L2Bytes / g.SMCount / elemB
-				p.RequireLabeled("l2-share", smt.Sum(l1Vols...), smt.LE, smt.C(l2Cap))
-				mConsL2.Add(1)
-			} else {
-				p.RequireLabeled("l1-capacity", smt.Sum(l1Vols...), smt.LE, smt.C(l1Cap))
-				mConsL1.Add(1)
 			}
 		}
 
@@ -312,20 +285,22 @@ func formulate(prog *analysis.Program, g *arch.GPU, opts Options) (*formulation,
 			}
 			nm.H[l.Name] = h
 			if h > 0 {
-				objTerms = append(objTerms, smt.Scale(h, smt.V(vars[l.Name])))
+				objTerms = append(objTerms, smt.Scale(h, smt.V(f.vars[l.Name])))
 				objParts = append(objParts, fmt.Sprintf("%d*T_%s", h, l.Name))
 			}
 		}
 
-		// Parallelism term, once per distinct parallel-loop set.
+		// Parallelism term (B_size), once per distinct parallel-loop set.
 		key := strings.Join(parallel, ",")
 		if !seenParallelProd[key] {
 			seenParallelProd[key] = true
-			objTerms = append(objTerms, bsize)
+			factors := make([]smt.Expr, len(parallel))
 			prod := make([]string, len(parallel))
 			for i, p := range parallel {
+				factors[i] = smt.V(f.vars[p])
 				prod[i] = "T_" + p
 			}
+			objTerms = append(objTerms, smt.Mul(factors...))
 			objParts = append(objParts, strings.Join(prod, "*"))
 		}
 

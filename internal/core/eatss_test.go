@@ -295,3 +295,33 @@ func TestExplainCoversAllNests(t *testing.T) {
 		t.Fatalf("explained nests = %v, want both", nests)
 	}
 }
+
+// Binding means no warp-aligned increase of any tile the constraint
+// reads fits. gemm on GA100 in FP64 at split 0 selects Ti=16, Tj=672,
+// Tk=16: the register file still has 1,024 registers free, but
+// REG_SM = Ti*Tj*6 grows past 65,536 on a +16 step of either Ti or Tj,
+// so the register row is binding.
+func TestExplainBindingRaisesEveryTile(t *testing.T) {
+	k := affine.MustLookup("gemm")
+	g := arch.GA100()
+	opts := DefaultOptions()
+	opts.SplitFactor = 0
+	sel, err := SelectTiles(k, g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sel.Tiles["i"] != 16 || sel.Tiles["j"] != 672 || sel.Tiles["k"] != 16 {
+		t.Fatalf("tiles = %v, want i=16 j=672 k=16", sel.Tiles)
+	}
+	slacks, _ := Explain(k, g, sel)
+	for _, s := range slacks {
+		if s.Resource != "registers/SM" {
+			continue
+		}
+		if s.Used != 64512 || s.Limit != 65536 || !s.Binding {
+			t.Fatalf("register row = %+v, want 64512/65536 and binding", s)
+		}
+		return
+	}
+	t.Fatalf("no register row in %+v", slacks)
+}

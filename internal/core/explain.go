@@ -8,6 +8,7 @@ import (
 	"repro/internal/affine"
 	"repro/internal/analysis"
 	"repro/internal/arch"
+	"repro/internal/feas"
 	"repro/internal/smt"
 )
 
@@ -36,73 +37,33 @@ func Explain(k *affine.Kernel, g *arch.GPU, sel *Selection) ([]ConstraintSlack, 
 	return ExplainAnalyzed(analysis.Analyze(k, nil), g, sel)
 }
 
-// ExplainAnalyzed is Explain from a precomputed analysis artifact: the
-// reference classification and per-array volume skeletons come from
-// prog instead of a fresh per-nest re-derivation.
+// resourceNames maps the Sec. IV resource labels to Explain's rows; the
+// block limit is not a resource and gets no row.
+var resourceNames = map[string]string{
+	"register":        "registers/SM",
+	"shared-capacity": "shared capacity",
+	"l1-capacity":     "L1 capacity",
+	"l2-share":        "L2 share",
+}
+
+// ExplainAnalyzed is Explain from a precomputed analysis artifact: it
+// evaluates the predicates of the selection's feas.Region (the system
+// the solver decided) at the chosen tiles.
 func ExplainAnalyzed(prog *analysis.Program, g *arch.GPU, sel *Selection) ([]ConstraintSlack, string) {
-	opts := sel.Opts
-	elemB := opts.Precision.Bytes()
-	waf := opts.WarpAlignmentFactor(g)
-	pool := g.L1SharedBytes / elemB
-	shCap := int64(opts.SplitFactor * float64(pool))
-	l1Cap := pool - shCap
-	l2Cap := g.L2Bytes / g.SMCount / elemB
-
+	waf := sel.Opts.WarpAlignmentFactor(g)
+	region := feas.Cached(prog, g, modelConfig(sel.Opts))
 	var out []ConstraintSlack
-	analysis.CountReuseHits(len(prog.Nests))
-	for _, na := range prog.Nests {
-		nest := na.Nest
-		reuse := na.Reuse
-
-		// B_size and registers.
-		bsize := int64(1)
-		for _, name := range na.Parallel {
-			bsize *= sel.Tiles[name]
+	for i := range region.Preds {
+		pr := &region.Preds[i]
+		res, ok := resourceNames[pr.Label]
+		if !ok {
+			continue
 		}
-		regs := bsize * reuse.DistinctLineRefs * opts.Precision.Factor()
+		used, _ := pr.Eval(sel.Tiles)
 		out = append(out, ConstraintSlack{
-			Nest: nest.Name, Resource: "registers/SM",
-			Used: regs, Limit: g.RegsPerSM,
-			// The smallest possible growth multiplies one parallel tile
-			// by at least (T+waf)/T; approximate bindingness as "another
-			// waf-step on the smallest parallel tile would not fit".
-			Binding: regs+waf*regs/maxI64(bsize, 1) > g.RegsPerSM,
+			Nest: pr.Nest, Resource: res, Used: used, Limit: pr.Cap,
+			Binding: binding(pr, sel.Tiles, waf),
 		})
-
-		// Volumes per array, split by class (mirrors SelectTiles).
-		var l1Sum, shSum int64
-		for _, av := range na.Arrays {
-			if len(av.Iters) == 0 {
-				continue
-			}
-			v := int64(1)
-			for _, it := range av.Iters {
-				v *= sel.Tiles[it]
-			}
-			if av.L1 || opts.SplitFactor == 0 {
-				l1Sum += v
-			} else {
-				shSum += v
-			}
-		}
-		if shSum > 0 {
-			out = append(out, ConstraintSlack{
-				Nest: nest.Name, Resource: "shared capacity",
-				Used: shSum, Limit: shCap,
-				Binding: shSum+waf > shCap,
-			})
-		}
-		if l1Sum > 0 {
-			res, limit := "L1 capacity", l1Cap
-			if opts.SplitFactor >= 1.0 {
-				res, limit = "L2 share", l2Cap
-			}
-			out = append(out, ConstraintSlack{
-				Nest: nest.Name, Resource: res,
-				Used: l1Sum, Limit: limit,
-				Binding: l1Sum+waf > limit,
-			})
-		}
 	}
 
 	sort.SliceStable(out, func(i, j int) bool {
@@ -175,11 +136,24 @@ func renderSearch(b *strings.Builder, st *smt.Stats) {
 	}
 }
 
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
+// binding reports that no warp-aligned increase of any tile the
+// predicate reads fits under its cap.
+func binding(pr *feas.Predicate, tiles map[string]int64, waf int64) bool {
+	raised := make(map[string]int64, len(tiles))
+	for n, v := range tiles {
+		raised[n] = v
 	}
-	return b
+	for _, t := range pr.Terms {
+		for _, it := range t.Iters {
+			raised[it] = tiles[it] + waf
+			lhs, _ := pr.Eval(raised)
+			raised[it] = tiles[it]
+			if lhs <= pr.Cap {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 func tilesInline(tiles map[string]int64) string {

@@ -1,18 +1,18 @@
-// Package feas is the static tile-space feasibility analysis: a
-// solver-free over-approximation of the Sec. IV constraint system,
-// derived once per (Program, GPU, Config) and evaluated per point in a
-// handful of integer multiplications.
+// Package feas is the Sec. IV constraint system as data: the one
+// model-side derivation of the paper's resource bounds, built once per
+// (Program, GPU, Config) without the solver and consumed by every
+// model-side user.
 //
-// The SMT solver (internal/core) decides the same constraints exactly,
-// but only inside a solve; a tile-space sweep, an autotuner bootstrap
-// or an explicit-tiles service request sees every point, feasible or
-// not. Derive rebuilds the model generator's constraint set — the
-// warp-aligned tile domains of IV-B, the B_size block limit of IV-A/F,
-// the register bound of IV-G/IV-I, and the L1/shared/L2 capacity split
-// of IV-H/IV-J — as per-dimension interval Bounds plus labeled monotone
-// capacity Predicates (every coefficient is positive and every tile is
-// >= 1, so each left-hand side is monotone in every variable). That
-// monotonicity is what makes two cheap judgements sound:
+// Derive produces a Region: the warp-aligned tile domains of IV-B as
+// per-dimension interval Bounds, plus labeled monotone Predicates for
+// the B_size block limit of IV-A/F, the register bound of IV-G/IV-I and
+// the L1/shared/L2 capacity split of IV-H/IV-J, in emission order.
+// Region.Lower declares exactly that system on an smt.Problem; the
+// solver (internal/core) solves the lowered problem under its IV-K
+// objective, and Explain evaluates the same predicates at the selected
+// tiles. Every coefficient is positive and every tile is >= 1, so each
+// left-hand side is monotone in every variable. That monotonicity is
+// what makes two cheap judgements sound:
 //
 //   - Point check: a tile choice violating one predicate violates the
 //     matching model constraint, so the configuration is point-wise
@@ -25,11 +25,11 @@
 //
 // Every verdict is a machine-checkable PruneCert naming the violated
 // constraint with its interval witness; verify.CertifyPrune replays
-// certificates independently in math/big, and Region.UnsatSMT re-decides
-// them against the finite-domain solver. The sweep engine
-// (SweepOptions.Prune), SelectBest's (split x warp-fraction) sibling
-// loop, both autotuners and the eatssd service consume the analysis;
-// cmd/feasbench gates its soundness catalog-wide.
+// certificates against its own independent math/big derivation, and
+// Region.UnsatSMT re-decides them against the finite-domain solver. The
+// sweep engine (SweepOptions.Prune), SelectBest's (split x
+// warp-fraction) sibling loop, both autotuners and the eatssd service
+// consume the analysis; cmd/feasbench gates its soundness catalog-wide.
 package feas
 
 import (
@@ -44,10 +44,10 @@ import (
 	"repro/internal/smt"
 )
 
-// Config selects which of the model generator's constraint families the
-// derived region enforces. It deliberately mirrors core.Options field
-// for field where a family is option-dependent, so a Region can be
-// derived for exactly the formulation a solver call would build.
+// Config selects which of the Sec. IV constraint families the derived
+// region enforces. It matches core.Options field for field where a
+// family is option-dependent, so the Region of a solve's Options is
+// exactly the formulation the solver decides.
 type Config struct {
 	// Precision scales the register bound (Sec. IV-I) and the capacity
 	// pools (bytes / element size, Sec. IV-J).
@@ -82,9 +82,9 @@ func SweepConfig(prec affine.Precision) Config {
 	return Config{Precision: prec, ProblemSizeAware: true}
 }
 
-// ModelConfig mirrors one core.Options instantiation exactly (block
-// limit off, capacity split on), so Region.Empty implies that solve
-// would return UNSAT.
+// ModelConfig is the Config of one default core.Options instantiation
+// (block limit off, capacity split on): its region is that solve's
+// formulation, so Region.Empty implies the solve returns UNSAT.
 func ModelConfig(split, warpFrac float64, prec affine.Precision) Config {
 	return Config{
 		Precision:        prec,
@@ -97,7 +97,7 @@ func ModelConfig(split, warpFrac float64, prec affine.Precision) Config {
 
 // Bound is one tile dimension's domain: multiples of Step inside
 // [Iv.Lo, Iv.Hi] (Iv.Lo is Step, Iv.Hi the largest admissible multiple
-// — exactly the smt.RangeVar domain the model generator declares).
+// — exactly the smt.RangeVar domain Lower declares).
 type Bound struct {
 	Name string
 	Iv   smt.Interval
@@ -211,6 +211,21 @@ type Region struct {
 // overflow territory for one more multiplication by a tile <= T_P_B.
 const satCeil = math.MaxInt64 >> 16
 
+// memoKey keys one memoized region on a Program: the whole GPU
+// description (two presets may share a Name) and the Config.
+type memoKey struct {
+	gpu arch.GPU
+	cfg Config
+}
+
+// Cached is Derive memoized on the analysis artifact, once per (GPU,
+// Config): every solve, sweep worker and request sharing the Program
+// shares the region. SelectBest's static sibling skip and the solve
+// that follows it therefore derive each sibling's system once.
+func Cached(prog *analysis.Program, g *arch.GPU, cfg Config) *Region {
+	return prog.Memo(memoKey{*g, cfg}, func() any { return Derive(prog, g, cfg) }).(*Region)
+}
+
 func satMul(a, b int64) int64 {
 	if a > 0 && b > 0 && a > satCeil/b {
 		return satCeil
@@ -225,12 +240,13 @@ func satAdd(a, b int64) int64 {
 	return a + b
 }
 
-// Derive builds the region for (prog, g, cfg), mirroring the model
-// generator's constraint emission (core.SelectTilesAnalyzed): the same
-// upper-bound intersection across nests, the same warp-alignment step,
-// and the same per-nest resource bounds with the same capacity
-// arithmetic. It never calls the solver; cost is linear in the
-// kernel's nests and arrays.
+// Derive builds the region for (prog, g, cfg): the tile domains, their
+// upper bounds intersected across nests sharing a loop name, and the
+// per-nest resource predicates with their capacity arithmetic. An empty
+// domain still gets every predicate, so the lowered system is the full
+// formulation either way. It never calls the solver; cost is linear in
+// the kernel's nests and arrays. Callers holding a shared Program
+// should use Cached.
 func Derive(prog *analysis.Program, g *arch.GPU, cfg Config) *Region {
 	r := &Region{Kernel: prog.Kernel.Name, GPU: g.Name, Cfg: cfg}
 
@@ -276,17 +292,14 @@ func Derive(prog *analysis.Program, g *arch.GPU, cfg Config) *Region {
 			}
 		}
 	}
-	if r.Empty != nil {
-		return r
-	}
 
-	// Per-nest resource predicates, in the generator's emission order.
+	// Per-nest resource predicates, in emission order.
 	elemB := cfg.Precision.Bytes()
 	for _, na := range prog.Nests {
 		nest := na.Nest.Name
 		if len(na.Parallel) == 0 {
-			// The model generator errors out here; the region is empty
-			// in the same sense — no solve can succeed.
+			// No block to size: the solver refuses the formulation, so
+			// the region is empty in the same sense.
 			if r.Empty == nil {
 				r.Empty = &PruneCert{
 					Kernel: r.Kernel, GPU: r.GPU, Constraint: "parallelism",
@@ -374,12 +387,12 @@ func (r *Region) minCorner() map[string]int64 {
 	return min
 }
 
-// eval computes a predicate's left-hand side at a point, saturating
+// Eval computes the predicate's left-hand side at a point, saturating
 // instead of overflowing (saturation only ever inflates the value, so
 // LHS > Cap verdicts stay sound while caps are below satCeil). ok is
 // false when the point does not bind every variable the predicate
 // reads — an unbindable predicate never prunes.
-func (p *Predicate) eval(tiles map[string]int64) (int64, bool) {
+func (p *Predicate) Eval(tiles map[string]int64) (int64, bool) {
 	var lhs int64
 	for _, t := range p.Terms {
 		v := t.Coeff
@@ -427,7 +440,7 @@ func (r *Region) Check(tiles map[string]int64) *PruneCert {
 	}
 	for i := range r.Preds {
 		p := &r.Preds[i]
-		lhs, ok := p.eval(tiles)
+		lhs, ok := p.Eval(tiles)
 		if !ok {
 			continue
 		}
@@ -500,34 +513,49 @@ func (r *Region) TightenedBounds() []Bound {
 	return out
 }
 
-// UnsatSMT re-decides a pruned point against the finite-domain solver:
-// it rebuilds the region's constraint system as an smt.Problem (the
-// same RangeVar domains and labeled constraints the model generator
-// declares), pins the tile variables to the point, and reports whether
-// the solver finds it unsatisfiable. A sound prune must always return
-// true; cmd/feasbench and the fuzz property gate on it. Tiles outside a
-// variable's declared domain are unsatisfiable by construction (the
-// EQ pin cannot hold), matching the solver's own semantics.
-func (r *Region) UnsatSMT(tiles map[string]int64) bool {
+// Lower declares the region on a fresh smt.Problem: one RangeVar
+// "T_<loop>" per Bound, in Bounds order, then one labeled LE constraint
+// per Predicate, in emission order. A Term lowers to Mul(vars...),
+// followed by "* C(Coeff)" when Coeff != 1. It is the only place the
+// Sec. IV system becomes solver constraints: the solver's formulation
+// (internal/core) and UnsatSMT both start from it. vars maps each loop
+// name to its tile variable.
+func (r *Region) Lower() (*smt.Problem, map[string]smt.Var) {
 	p := smt.NewProblem()
 	vars := make(map[string]smt.Var, len(r.Bounds))
 	for _, b := range r.Bounds {
-		v := p.RangeVar("T_"+b.Name, 1, b.Iv.Hi, b.Step)
-		vars[b.Name] = v
-		if t, ok := tiles[b.Name]; ok {
-			p.RequireEQ(smt.V(v), smt.C(t))
-		}
+		vars[b.Name] = p.RangeVar("T_"+b.Name, 1, b.Iv.Hi, b.Step)
 	}
 	for _, pr := range r.Preds {
-		var terms []smt.Expr
-		for _, t := range pr.Terms {
-			factors := make([]smt.Expr, 0, len(t.Iters))
-			for _, it := range t.Iters {
-				factors = append(factors, smt.V(vars[it]))
+		terms := make([]smt.Expr, len(pr.Terms))
+		for i, t := range pr.Terms {
+			factors := make([]smt.Expr, len(t.Iters))
+			for j, it := range t.Iters {
+				factors[j] = smt.V(vars[it])
 			}
-			terms = append(terms, smt.Scale(t.Coeff, smt.Mul(factors...)))
+			terms[i] = smt.Mul(factors...)
+			if t.Coeff != 1 {
+				terms[i] = smt.Mul(terms[i], smt.C(t.Coeff))
+			}
 		}
 		p.RequireLabeled(pr.Label, smt.Sum(terms...), smt.LE, smt.C(pr.Cap))
+	}
+	return p, vars
+}
+
+// UnsatSMT re-decides a pruned point against the finite-domain solver:
+// it lowers the region, pins the tile variables to the point, and
+// reports whether the solver finds it unsatisfiable. A sound prune must
+// always return true; cmd/feasbench and the fuzz property gate on it.
+// Tiles outside a variable's declared domain are unsatisfiable by
+// construction (the EQ pin cannot hold), matching the solver's own
+// semantics.
+func (r *Region) UnsatSMT(tiles map[string]int64) bool {
+	p, vars := r.Lower()
+	for _, b := range r.Bounds {
+		if t, ok := tiles[b.Name]; ok {
+			p.RequireEQ(smt.V(vars[b.Name]), smt.C(t))
+		}
 	}
 	_, sat := smt.NewSolver(p).Solve()
 	return !sat

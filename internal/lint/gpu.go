@@ -6,6 +6,7 @@ import (
 	"repro/internal/affine"
 	"repro/internal/analysis"
 	"repro/internal/arch"
+	"repro/internal/core"
 	"repro/internal/feas"
 )
 
@@ -16,13 +17,6 @@ import (
 // CodeInfeasibleRegion flags a kernel whose static feasible tile region
 // (internal/feas) is empty on the target GPU.
 const CodeInfeasibleRegion = "infeasible-region"
-
-// Solver option grids the feasibility pass mirrors (the splits and
-// warp fractions SelectBest explores).
-var (
-	gpuSplits    = []float64{0.0, 0.5, 0.67}
-	gpuWarpFracs = []float64{0.5, 0.25, 0.125}
-)
 
 // LintGPU runs Lint and appends device-dependent feasibility
 // diagnostics: an Error when the option-free sweep region (tile domains
@@ -51,10 +45,11 @@ func LintGPU(k *affine.Kernel, params map[string]int64, g *arch.GPU, prec affine
 		return diags
 	}
 
+	// The (split x warp-fraction) grid SelectBest explores.
 	empty := 0
 	var first *feas.PruneCert
-	for _, split := range gpuSplits {
-		for _, wf := range gpuWarpFracs {
+	for _, split := range core.SharedSplits {
+		for _, wf := range core.WarpFractions {
 			if cert := feas.Derive(prog, g, feas.ModelConfig(split, wf, prec)).Empty; cert != nil {
 				empty++
 				if first == nil {
@@ -63,12 +58,12 @@ func LintGPU(k *affine.Kernel, params map[string]int64, g *arch.GPU, prec affine
 			}
 		}
 	}
-	if empty == len(gpuSplits)*len(gpuWarpFracs) {
+	if empty == len(core.SharedSplits)*len(core.WarpFractions) {
 		diags = append(diags, Diag{
 			Code:     CodeInfeasibleRegion,
 			Severity: Error,
 			Msg: fmt.Sprintf("kernel %q is statically infeasible on %s under every solver configuration (%d shared splits × %d warp fractions): %s",
-				k.Name, g.Name, len(gpuSplits), len(gpuWarpFracs), first),
+				k.Name, g.Name, len(core.SharedSplits), len(core.WarpFractions), first),
 			Note: "SelectBest would fail on every sibling; relax the problem sizes or the precision",
 		})
 	} else if empty > 0 {
@@ -76,7 +71,7 @@ func LintGPU(k *affine.Kernel, params map[string]int64, g *arch.GPU, prec affine
 			Code:     CodeInfeasibleRegion,
 			Severity: Warning,
 			Msg: fmt.Sprintf("kernel %q is statically infeasible on %s under %d of %d solver configurations (first: %s)",
-				k.Name, g.Name, empty, len(gpuSplits)*len(gpuWarpFracs), first),
+				k.Name, g.Name, empty, len(core.SharedSplits)*len(core.WarpFractions), first),
 			Note: "SelectBest skips these siblings without invoking the solver",
 		})
 	}

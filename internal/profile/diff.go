@@ -8,7 +8,7 @@ import (
 // LevelDelta is one attribution level's contribution to the energy gap
 // between two profiles.
 type LevelDelta struct {
-	Level string `json:"level"`
+	Level string  `json:"level"`
 	A     float64 `json:"a_j"`
 	B     float64 `json:"b_j"`
 	// Delta is B - A in Joules: negative means B spends less at this
@@ -30,11 +30,11 @@ type DiffReport struct {
 	EnergyA float64 `json:"energy_a_j"`
 	EnergyB float64 `json:"energy_b_j"`
 	// DeltaJ is EnergyB - EnergyA; negative means B is cheaper.
-	DeltaJ  float64 `json:"delta_j"`
-	TimeA   float64 `json:"time_a_sec"`
-	TimeB   float64 `json:"time_b_sec"`
-	Winner  string  `json:"winner"` // "A", "B" or "tie"
-	Levels  []LevelDelta `json:"levels"`
+	DeltaJ float64      `json:"delta_j"`
+	TimeA  float64      `json:"time_a_sec"`
+	TimeB  float64      `json:"time_b_sec"`
+	Winner string       `json:"winner"` // "A", "B" or "tie"
+	Levels []LevelDelta `json:"levels"`
 	// Dominant is the level with the largest absolute delta — the
 	// component that decides the comparison — and DominantShare its
 	// fraction of the total absolute per-level movement.

@@ -66,9 +66,9 @@ var (
 	// mInfeasibleTiles counts explicit-tiles requests rejected by the
 	// static feasibility analysis (422 before any heavy work).
 	mInfeasibleTiles = obs.NewCounter("serve.infeasible_tiles")
-	mInflight   = obs.NewGauge("serve.inflight")
-	mQueueDepth = obs.NewGauge("serve.queue_depth")
-	mRequestSec = obs.NewHistogram("serve.request_seconds",
+	mInflight        = obs.NewGauge("serve.inflight")
+	mQueueDepth      = obs.NewGauge("serve.queue_depth")
+	mRequestSec      = obs.NewHistogram("serve.request_seconds",
 		1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 0.1, 0.3, 1, 3, 10)
 	// mQueueWait explains shedding decisions: how long admitted requests
 	// actually waited for a slot. The fast path observes 0, so the count

@@ -1,11 +1,6 @@
 package verify
 
-import (
-	"math/big"
-
-	"repro/internal/affine"
-	"repro/internal/deps"
-)
+import "math/big"
 
 // PruneFacts is everything CertifyPrune needs about one static prune
 // verdict (internal/feas's PruneCert, flattened so the certifier stays
@@ -42,34 +37,16 @@ func (f PruneFacts) step() int64 {
 	return f.warpAlignment()
 }
 
-// upperBounds re-derives the Sec. IV-B per-dimension upper bounds
-// (min(T_P_B, N), intersected across nests sharing a loop name).
-func (f PruneFacts) upperBounds() map[string]int64 {
-	params := f.params()
-	upper := make(map[string]int64)
-	for _, n := range f.Kernel.Nests {
-		for _, l := range n.Loops {
-			hi := f.GPU.ThreadsPerBlock
-			if f.ProblemSizeAware {
-				if ext := l.Extent(params); ext < hi {
-					hi = ext
-				}
-			}
-			if prev, ok := upper[l.Name]; !ok || hi < prev {
-				upper[l.Name] = hi
-			}
-		}
-	}
-	return upper
-}
-
 // CertifyPrune replays one prune certificate from first principles: the
-// claimed constraint is re-derived from the kernel, GPU description and
-// a fresh dependence/reuse analysis — none of internal/feas's interval
-// machinery — and re-evaluated in arbitrary precision at the claimed
-// point (or at the independently re-derived domain minimum for Region
-// claims). nil means the claim holds: the point (or every point) is
-// genuinely infeasible under the named constraint. A Violation labeled
+// claimed constraint is looked up in the certifier's own derivation —
+// upperBounds for domain claims, bounds (the list CertifySelection
+// decides) for resource claims, built from the kernel, GPU description
+// and a fresh dependence/reuse analysis, none of internal/feas's
+// interval machinery — and re-evaluated in arbitrary precision at the
+// claimed point (or at the independently re-derived domain minimum for
+// Region claims). A claim naming a constraint the derivation does not
+// contain is a false prune. nil means the claim holds: the point (or
+// every point) is genuinely infeasible under the named constraint. A Violation labeled
 // "false-prune" means the certificate pruned a feasible point — a bug
 // in the static analysis, and the exact failure mode the catalog-wide
 // soundness gate exists to rule out.
@@ -136,128 +113,35 @@ func CertifyPrune(f PruneFacts) error {
 			"T_%s = %d is a positive multiple of the step %d", f.Loop, t, step)
 
 	case "parallelism":
-		nest := f.findNest()
-		if nest == nil {
-			return violationf("false-prune", "kernel has no nest %q", f.Nest)
-		}
-		reuse := deps.AnalyzeReuse(nest)
-		for d := range nest.Loops {
-			if reuse.Info.Parallel[d] {
-				return violationf("false-prune", "nest %q has parallel loop %q", f.Nest, nest.Loops[d].Name)
-			}
-		}
-		return nil
-
-	case "block-limit", "register":
-		nest := f.findNest()
-		if nest == nil {
-			return violationf("false-prune", "kernel has no nest %q", f.Nest)
-		}
-		reuse := deps.AnalyzeReuse(nest)
-		bsize := big.NewInt(1)
-		nParallel := 0
-		for d, l := range nest.Loops {
-			if reuse.Info.Parallel[d] && nParallel < 3 {
-				nParallel++
-				t, ok := tiles[l.Name]
-				if !ok {
-					return violationf("false-prune",
-						"nest %q: no tile for parallel loop %q — B_size is unbounded by the claim", f.Nest, l.Name)
-				}
-				bsize.Mul(bsize, big.NewInt(t))
-			}
-		}
-		if nParallel == 0 {
-			return violationf("false-prune", "nest %q has no parallel loop to size a block from", f.Nest)
-		}
-		if f.Constraint == "block-limit" {
-			if !f.EnforceThreadBlockLimit {
-				return violationf("false-prune",
-					"block-limit claim under options that do not enforce the thread-block limit")
-			}
-			if bsize.Cmp(big.NewInt(f.GPU.ThreadsPerBlock)) > 0 {
+		bounds, serial := f.bounds()
+		for _, n := range serial {
+			if n == f.Nest {
 				return nil
 			}
-			return violationf("false-prune",
-				"nest %q: B_size %s is within T_P_B %d", f.Nest, bsize, f.GPU.ThreadsPerBlock)
 		}
-		regSM := new(big.Int).Mul(bsize, big.NewInt(reuse.DistinctLineRefs*f.Precision.Factor()))
-		if regSM.Cmp(big.NewInt(f.GPU.RegsPerSM)) > 0 {
+		for _, b := range bounds {
+			if b.nest == f.Nest {
+				return violationf("false-prune", "nest %q has a parallel loop", f.Nest)
+			}
+		}
+		return violationf("false-prune", "kernel has no nest %q", f.Nest)
+	}
+
+	// Every other claim names one of the re-derived resource bounds.
+	bounds, _ := f.bounds()
+	for _, b := range bounds {
+		if b.label != f.Constraint || b.nest != f.Nest {
+			continue
+		}
+		lhs, missing := b.lhs(tiles)
+		if missing != "" {
+			return violationf("false-prune",
+				"nest %q: no tile for loop %q — the %s left-hand side is unbounded by the claim", f.Nest, missing, b.label)
+		}
+		if lhs.Cmp(big.NewInt(b.cap)) > 0 {
 			return nil
 		}
-		return violationf("false-prune",
-			"nest %q: REG_SM %s is within R_P_S %d", f.Nest, regSM, f.GPU.RegsPerSM)
-
-	case "shared-capacity", "l1-capacity", "l2-share":
-		nest := f.findNest()
-		if nest == nil {
-			return violationf("false-prune", "kernel has no nest %q", f.Nest)
-		}
-		reuse := deps.AnalyzeReuse(nest)
-		g := f.GPU
-		elemB := f.Precision.Bytes()
-		pool := g.L1SharedBytes / elemB
-		shCap := int64(f.SplitFactor * float64(pool))
-		l1Cap := pool - shCap
-		l2Cap := g.L2Bytes / g.SMCount / elemB
-		l1Sum, shSum := new(big.Int), new(big.Int)
-		for _, a := range arrayVolumes(nest, reuse) {
-			if len(a.iters) == 0 {
-				continue
-			}
-			vol := big.NewInt(1)
-			for _, it := range a.iters {
-				t, ok := tiles[it]
-				if !ok {
-					return violationf("false-prune",
-						"nest %q: no tile for iterator %q of array %q", f.Nest, it, a.array)
-				}
-				vol.Mul(vol, big.NewInt(t))
-			}
-			if a.l1 || f.SplitFactor == 0 {
-				l1Sum.Add(l1Sum, vol)
-			} else {
-				shSum.Add(shSum, vol)
-			}
-		}
-		switch f.Constraint {
-		case "shared-capacity":
-			if shSum.Sign() > 0 && shSum.Cmp(big.NewInt(shCap)) > 0 {
-				return nil
-			}
-			return violationf("false-prune",
-				"nest %q: shared volume %s is within capacity %d elements", f.Nest, shSum, shCap)
-		case "l2-share":
-			if f.SplitFactor < 1.0 {
-				return violationf("false-prune",
-					"l2-share claim under split %.2f < 1.0 (the L1 constraint applies instead)", f.SplitFactor)
-			}
-			if l1Sum.Sign() > 0 && l1Sum.Cmp(big.NewInt(l2Cap)) > 0 {
-				return nil
-			}
-			return violationf("false-prune",
-				"nest %q: cache-mapped volume %s is within the per-SM L2 share %d elements", f.Nest, l1Sum, l2Cap)
-		default: // l1-capacity
-			if f.SplitFactor >= 1.0 {
-				return violationf("false-prune",
-					"l1-capacity claim under split %.2f >= 1.0 (the L2 share applies instead)", f.SplitFactor)
-			}
-			if l1Sum.Sign() > 0 && l1Sum.Cmp(big.NewInt(l1Cap)) > 0 {
-				return nil
-			}
-			return violationf("false-prune",
-				"nest %q: cache-mapped volume %s is within L1 capacity %d elements", f.Nest, l1Sum, l1Cap)
-		}
+		return violationf("false-prune", "nest %q: %s %s is within %s %d", f.Nest, b.lhsName, lhs, b.capName, b.cap)
 	}
-	return violationf("false-prune", "unknown constraint %q", f.Constraint)
-}
-
-// findNest resolves the claimed nest by name.
-func (f PruneFacts) findNest() *affine.Nest {
-	for ni := range f.Kernel.Nests {
-		if f.Kernel.Nests[ni].Name == f.Nest {
-			return &f.Kernel.Nests[ni]
-		}
-	}
-	return nil
+	return violationf("false-prune", "no %q constraint on nest %q under these options", f.Constraint, f.Nest)
 }

@@ -8,6 +8,13 @@
 // generator it is checking. A certification failure is a hard error
 // carrying the label of the falsified constraint.
 //
+// The Sec. IV system has exactly two derivations: internal/feas's
+// Region on the model side (which the solver lowers) and this package's
+// on the certifier side — upperBounds for the tile domains and bounds
+// for the per-nest resource constraints, in math/big, shared by
+// CertifySelection and CertifyPrune. verify imports neither core nor
+// feas.
+//
 // The point is trust: the branch-and-prune solver, the model generator
 // and the mapper are each a few hundred lines of arithmetic where a
 // single wrong bound silently yields plausible-but-infeasible tiles.
@@ -107,9 +114,9 @@ func (f SelectionFacts) warpAlignment() int64 {
 //  2. Tile-domain re-derivation: warp-alignment divisibility and the
 //     [WAF, min(T_P_B, N)] bounds of Sec. IV-B, rebuilt from the GPU
 //     description and kernel extents without the solver.
-//  3. Resource re-derivation: per-nest register and L1/shared/L2
-//     capacity bounds (Sec. IV-G..IV-J), recomputed from a fresh
-//     dependence/reuse analysis.
+//  3. Resource re-derivation: the per-nest block-limit, register and
+//     L1/shared/L2 capacity bounds (Sec. IV-F..IV-J) of bounds, decided
+//     at the selected tiles.
 //
 // The first Violation found is returned; nil means certified.
 func CertifySelection(f SelectionFacts) error {
@@ -167,12 +174,11 @@ func (f SelectionFacts) checkWitness() error {
 	return nil
 }
 
-// checkTileDomains re-derives the Sec. IV-B tile domains.
-func (f SelectionFacts) checkTileDomains() error {
+// upperBounds re-derives the Sec. IV-B per-dimension upper bounds
+// (min(T_P_B, N), intersected across nests sharing a loop name — the
+// kernel-wide tiles of Sec. IV-M ii).
+func (f SelectionFacts) upperBounds() map[string]int64 {
 	params := f.params()
-	waf := f.warpAlignment()
-	// Upper bounds intersect across nests sharing a loop name
-	// (kernel-wide tiles, Sec. IV-M ii).
 	upper := make(map[string]int64)
 	for _, n := range f.Kernel.Nests {
 		for _, l := range n.Loops {
@@ -187,6 +193,13 @@ func (f SelectionFacts) checkTileDomains() error {
 			}
 		}
 	}
+	return upper
+}
+
+// checkTileDomains re-derives the Sec. IV-B tile domains.
+func (f SelectionFacts) checkTileDomains() error {
+	waf := f.warpAlignment()
+	upper := f.upperBounds()
 	names := make([]string, 0, len(upper))
 	for name := range upper {
 		names = append(names, name)
@@ -209,84 +222,120 @@ func (f SelectionFacts) checkTileDomains() error {
 	return nil
 }
 
-// checkResources re-derives the register and capacity bounds per nest
-// from a fresh reuse analysis, in arbitrary precision.
+// checkResources decides every re-derived resource bound at the
+// selected tiles.
 func (f SelectionFacts) checkResources() error {
+	bounds, serial := f.bounds()
+	if len(serial) > 0 {
+		return violationf("parallelism", "nest %q has no parallel loop", serial[0])
+	}
+	for _, b := range bounds {
+		lhs, missing := b.lhs(f.Tiles)
+		if missing != "" {
+			return violationf("tile-domain", "loop %q has no selected tile", missing)
+		}
+		if lhs.Cmp(big.NewInt(b.cap)) > 0 {
+			return violationf(b.label, "nest %q: %s %s exceeds %s %d", b.nest, b.lhsName, lhs, b.capName, b.cap)
+		}
+	}
+	return nil
+}
+
+// bound is one re-derived per-nest Sec. IV resource constraint: the
+// sum over terms of coeff x the product of the named tiles is at most
+// cap.
+type bound struct {
+	label string
+	nest  string
+	coeff int64
+	terms [][]string
+	cap   int64
+	// lhsName and capName word the comparison in violation messages.
+	lhsName, capName string
+}
+
+// lhs evaluates the left-hand side at tiles in arbitrary precision.
+// missing names a tile the bound reads that tiles leaves unset (the
+// value is then nil).
+func (b bound) lhs(tiles map[string]int64) (v *big.Int, missing string) {
+	v = new(big.Int)
+	for _, term := range b.terms {
+		p := big.NewInt(b.coeff)
+		for _, it := range term {
+			t, ok := tiles[it]
+			if !ok {
+				return nil, it
+			}
+			p.Mul(p, big.NewInt(t))
+		}
+		v.Add(v, p)
+	}
+	return v, ""
+}
+
+// bounds is the certifier's one derivation of the Sec. IV resource
+// bounds, shared by CertifySelection and CertifyPrune: per nest, from a
+// fresh dependence/reuse analysis and the GPU description, in emission
+// order — the B_size block limit when enforced (IV-A/F), the register
+// file (IV-G/IV-I), the shared capacity, then the L1 capacity or, with
+// the whole pool given to shared memory, the per-SM L2 share
+// (IV-C/E/H/J). serial lists the nests with no parallel loop to size a
+// block from; they get no bounds.
+func (f SelectionFacts) bounds() (out []bound, serial []string) {
 	g := f.GPU
 	elemB := f.Precision.Bytes()
 	pool := g.L1SharedBytes / elemB
 	shCap := int64(f.SplitFactor * float64(pool))
-	l1Cap := pool - shCap
-	l2Cap := g.L2Bytes / g.SMCount / elemB
-
 	for ni := range f.Kernel.Nests {
 		nest := &f.Kernel.Nests[ni]
 		reuse := deps.AnalyzeReuse(nest)
 
-		// B_size: product of the tiles of the first <=3 parallel loops
-		// (Sec. IV-F).
-		bsize := big.NewInt(1)
-		nParallel := 0
+		// B_size: the tiles of the first <=3 parallel loops (IV-F).
+		var parallel []string
 		for d, l := range nest.Loops {
-			if reuse.Info.Parallel[d] && nParallel < 3 {
-				nParallel++
-				bsize.Mul(bsize, big.NewInt(f.Tiles[l.Name]))
+			if reuse.Info.Parallel[d] && len(parallel) < 3 {
+				parallel = append(parallel, l.Name)
 			}
 		}
-		if nParallel == 0 {
-			return violationf("parallelism", "nest %q has no parallel loop", nest.Name)
+		if len(parallel) == 0 {
+			serial = append(serial, nest.Name)
+			continue
 		}
-		if f.EnforceThreadBlockLimit && bsize.Cmp(big.NewInt(g.ThreadsPerBlock)) > 0 {
-			return violationf("block-limit",
-				"nest %q: B_size %s exceeds T_P_B %d", nest.Name, bsize, g.ThreadsPerBlock)
+		if f.EnforceThreadBlockLimit {
+			out = append(out, bound{"block-limit", nest.Name, 1, [][]string{parallel},
+				g.ThreadsPerBlock, "B_size", "T_P_B"})
 		}
+		// REG_SM = B_size x distinct-line refs x FP_factor <= R_P_S.
+		out = append(out, bound{"register", nest.Name, reuse.DistinctLineRefs * f.Precision.Factor(),
+			[][]string{parallel}, g.RegsPerSM, "REG_SM", "R_P_S"})
 
-		// REG_SM = B_size x distinct-line refs x FP_factor <= R_P_S
-		// (Sec. IV-G / IV-I).
-		regSM := new(big.Int).Mul(bsize,
-			big.NewInt(reuse.DistinctLineRefs*f.Precision.Factor()))
-		if regSM.Cmp(big.NewInt(g.RegsPerSM)) > 0 {
-			return violationf("register",
-				"nest %q: REG_SM %s exceeds R_P_S %d", nest.Name, regSM, g.RegsPerSM)
-		}
-
-		// Data-tile volumes and the L1/shared split (Sec. IV-C/E/H/J),
-		// mirroring the analysis artifact's skeletons from the raw reuse
-		// facts.
-		l1Sum, shSum := new(big.Int), new(big.Int)
+		// Data-tile volumes in elements, split by class; a zero split
+		// cache-maps every reference.
+		var l1, sh [][]string
 		for _, a := range arrayVolumes(nest, reuse) {
 			if len(a.iters) == 0 {
 				continue // scalar
 			}
-			vol := big.NewInt(1)
-			for _, it := range a.iters {
-				vol.Mul(vol, big.NewInt(f.Tiles[it]))
-			}
 			if a.l1 || f.SplitFactor == 0 {
-				l1Sum.Add(l1Sum, vol)
+				l1 = append(l1, a.iters)
 			} else {
-				shSum.Add(shSum, vol)
+				sh = append(sh, a.iters)
 			}
 		}
-		if shSum.Sign() > 0 && shSum.Cmp(big.NewInt(shCap)) > 0 {
-			return violationf("shared-capacity",
-				"nest %q: shared volume %s exceeds capacity %d elements", nest.Name, shSum, shCap)
+		if len(sh) > 0 {
+			out = append(out, bound{"shared-capacity", nest.Name, 1, sh, shCap, "shared volume", "shared capacity"})
 		}
-		if l1Sum.Sign() > 0 {
+		if len(l1) > 0 {
 			if f.SplitFactor >= 1.0 {
-				if l1Sum.Cmp(big.NewInt(l2Cap)) > 0 {
-					return violationf("l2-share",
-						"nest %q: cache-mapped volume %s exceeds the per-SM L2 share %d elements",
-						nest.Name, l1Sum, l2Cap)
-				}
-			} else if l1Sum.Cmp(big.NewInt(l1Cap)) > 0 {
-				return violationf("l1-capacity",
-					"nest %q: cache-mapped volume %s exceeds L1 capacity %d elements",
-					nest.Name, l1Sum, l1Cap)
+				out = append(out, bound{"l2-share", nest.Name, 1, l1, g.L2Bytes / g.SMCount / elemB,
+					"cache-mapped volume", "the per-SM L2 share"})
+			} else {
+				out = append(out, bound{"l1-capacity", nest.Name, 1, l1, pool - shCap,
+					"cache-mapped volume", "L1 capacity"})
 			}
 		}
 	}
-	return nil
+	return out, serial
 }
 
 // arrayVolume mirrors analysis.ArrayVolume, re-derived here so the

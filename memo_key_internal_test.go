@@ -23,10 +23,10 @@ func TestMemoKeysDistinguishWholeGPU(t *testing.T) {
 	edited.RegsPerSM /= 2 // same Name, halved register file
 
 	cfg := feas.SweepConfig(FP64)
-	if feasRegion(p.prog, g, cfg) != feasRegion(p.prog, same, cfg) {
+	if feas.Cached(p.prog, g, cfg) != feas.Cached(p.prog, same, cfg) {
 		t.Error("equal GPUs got distinct feasibility regions")
 	}
-	if feasRegion(p.prog, g, cfg) == feasRegion(p.prog, edited, cfg) {
+	if feas.Cached(p.prog, g, cfg) == feas.Cached(p.prog, edited, cfg) {
 		t.Error("a GPU edited under the same Name shares the original's feasibility region")
 	}
 

@@ -261,7 +261,7 @@ func exploreAnalyzed(ctx context.Context, prog *analysis.Program, g *GPU, space 
 	// multiplications, far cheaper than dispatching the point.
 	pruned := 0
 	if opt.Prune {
-		region := feasRegion(prog, g, feas.SweepConfig(cfg.Precision))
+		region := feas.Cached(prog, g, feas.SweepConfig(cfg.Precision))
 		kept := make([]map[string]int64, 0, len(space))
 		for i, tiles := range space {
 			if cert := region.Check(tiles); cert != nil {

@@ -21,7 +21,12 @@
 //	    context.Background() or context.TODO() — both packages sit on
 //	    request/cancellation paths and must thread the caller's context
 //	    (a fresh root context silently detaches work from deadlines,
-//	    cancellation and trace propagation).
+//	    cancellation and trace propagation);
+//	R6  outside internal/smt, only the feas lowering (Region.Lower in
+//	    internal/feas) calls RequireLabeled or RangeVar — the Sec. IV
+//	    constraint system has one model-side derivation, feas.Region,
+//	    and every solver formulation is that region lowered, never a
+//	    second hand-written copy.
 //
 // Test files and testdata are exempt. Run via `make selfcheck`; exits
 // nonzero when any rule fires.
@@ -152,6 +157,41 @@ func checkFile(fset *token.FileSet, file *ast.File, rel string) []finding {
 	}
 	if ctxRestricted(rel) {
 		out = append(out, checkBareContext(fset, file, ctxName)...)
+	}
+	out = append(out, checkLowering(fset, file, rel)...)
+	return out
+}
+
+// loweringOnly are the smt.Problem declarations R6 confines to the
+// feas lowering.
+var loweringOnly = map[string]bool{"RequireLabeled": true, "RangeVar": true}
+
+// checkLowering implements R6 for one file.
+func checkLowering(fset *token.FileSet, file *ast.File, rel string) []finding {
+	if strings.Contains(rel, "internal/smt/") {
+		return nil
+	}
+	var out []finding
+	for _, decl := range file.Decls {
+		if fn, ok := decl.(*ast.FuncDecl); ok && fn.Name.Name == "Lower" && fn.Recv != nil &&
+			strings.Contains(rel, "internal/feas/") {
+			continue
+		}
+		ast.Inspect(decl, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			if sel, ok := call.Fun.(*ast.SelectorExpr); ok && loweringOnly[sel.Sel.Name] {
+				out = append(out, finding{
+					pos:  fset.Position(call.Pos()),
+					rule: "R6",
+					msg: fmt.Sprintf("%s outside the feas lowering; build the constraint system as a feas.Region and lower it",
+						sel.Sel.Name),
+				})
+			}
+			return true
+		})
 	}
 	return out
 }
