@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all fmt vet build test race sweep-race sweep-bench analysis-bench serve-bench obs-bench bench-guard profile-demo lint-gate selfcheck symbolic-parity symbolic-bench feas-bench check clean
+.PHONY: all fmt vet build test race sweep-race obs-bench profile-demo lint-gate selfcheck symbolic-parity symbolic-bench check clean
 
 all: check
 
@@ -30,28 +30,6 @@ race:
 sweep-race:
 	$(GO) test -race -count=1 -run 'Sweep|Explore|Concurrent|SolveCtx|Cancel|Poison|Herd|Coalesc|Deadline|Shed' . ./internal/sweep ./internal/smt ./internal/obs ./internal/serve
 
-# sweep-bench records before/after sweep throughput (sequential j=1 vs
-# the worker pool) into BENCH_sweep.json via the bench runner's space.
-sweep-bench:
-	$(GO) run ./cmd/sweepbench -points 512 -out BENCH_sweep.json
-
-# analysis-bench records what staged compilation buys per evaluation
-# (fresh per-point analysis vs one shared analysis.Program artifact)
-# into BENCH_analysis.json, and fails if the two paths' results ever
-# diverge — a cheap end-to-end parity gate on the staging split.
-analysis-bench:
-	$(GO) run ./cmd/analysisbench -out BENCH_analysis.json
-
-# serve-bench load-tests the tile-selection service end to end: an
-# in-process eatssd served over loopback HTTP takes a cold-cache request
-# herd per catalog kernel plus a sustained mixed solve/simulate stream,
-# and BENCH_serve.json records p50/p99 latency, throughput and the
-# coalesce rate. The run itself fails on any unexpected error or if no
-# request coalesced — the daemon's acceptance bar, enforced on every
-# `make check`.
-serve-bench:
-	$(GO) run ./cmd/servebench -out BENCH_serve.json
-
 # obs-bench guards the observability layer's disabled-path cost: the
 # allocs/op checks proving that spans, metrics (counters, gauges and the
 # sweep/solver latency histograms), slog output, the live sweep progress
@@ -74,31 +52,12 @@ symbolic-parity:
 	$(GO) test -count=1 -run 'TestSymbolicSweepParity|TestSelectBestEvalParity|TestEvaluatorBackendParity' . ./internal/serve
 
 # symbolic-bench measures what the closed-form evaluator buys per sweep
-# evaluation (BENCH_symbolic.json), re-verifies parity along the way,
-# and exits nonzero if the per-point speedup over compile+simulate falls
-# under symbench's 10x floor — the backend's reason to exist, enforced
-# on every `make check`.
+# evaluation over gemm's 15^3 space (BenchmarkSymbolicSpeedup) and fails
+# when the per-point speedup over compile+simulate falls under the 10x
+# floor: the backend's reason to exist, enforced on every `make check`.
+# Parity is symbolic-parity's job.
 symbolic-bench:
-	$(GO) run ./cmd/symbench -out BENCH_symbolic.json
-
-# feas-bench runs the static-feasibility soundness gate (cmd/feasbench):
-# the pruned gemm sweep must equal the full sweep filtered through the
-# same region predicate bit-for-bit (identical surviving set and
-# argmax), every prune certificate must replay under the independent
-# math/big certifier and re-decide UNSAT under the SMT solver, and the
-# gemm 15^3 prune rate must clear the 30% floor. BENCH_prune.json
-# records the rates and the per-point cost of the pre-filter.
-feas-bench:
-	$(GO) run ./cmd/feasbench -out BENCH_prune.json
-
-# bench-guard replays the BENCH_*.json files just written by the bench
-# targets against BENCH_history.jsonl: a guarded metric (per-point
-# latency, points/sec, speedup) regressing more than 15% against the
-# median of recent comparable history (the last 8 runs with the same
-# file/kernel/points/GOMAXPROCS/host) fails the gate. Runs are appended
-# to the history so the baseline tracks the trajectory.
-bench-guard:
-	$(GO) run ./cmd/benchguard
+	$(GO) test -count=1 -run '^$$' -bench '^BenchmarkSymbolicSpeedup$$' -benchtime 1x .
 
 # profile-demo exercises the energy attribution profiler end to end on
 # the paper's worked example: per-nest/per-array/per-level breakdown,
@@ -129,13 +88,12 @@ selfcheck:
 
 # check is the gate a change must pass before it lands: formatting,
 # static analysis (go vet plus the repo's own selfcheck analyzer), a full build, the
-# kernel lint gate, the concurrency race gate, the staged-compilation
-# parity/benchmark gate, the symbolic-backend parity and speedup gates,
-# the static-feasibility soundness gate, the service load test, the
-# benchmark regression guard over the BENCH history, the
-# zero-cost-observability guard, the attribution-profiler demo, and the
-# full test suite under the race detector.
-check: fmt vet build selfcheck lint-gate sweep-race analysis-bench symbolic-parity symbolic-bench feas-bench serve-bench bench-guard obs-bench profile-demo race
+# kernel lint gate, the concurrency race gate, the symbolic-backend
+# parity and speedup gates, the zero-cost-observability guard, the
+# attribution-profiler demo, and the full test suite under the race
+# detector (which holds the staged-compilation, static-feasibility and
+# service-herd gates). It writes no tracked file.
+check: fmt vet build selfcheck lint-gate sweep-race symbolic-parity symbolic-bench obs-bench profile-demo race
 
 clean:
 	$(GO) clean ./...

@@ -63,11 +63,6 @@ func Fatal(err error) {
 	os.Exit(1)
 }
 
-// Fatalf is Fatal with a format string.
-func Fatalf(format string, args ...any) {
-	Fatal(fmt.Errorf(format, args...))
-}
-
 // ListenFlag registers the shared -listen flag and returns its value
 // pointer. Pass the result to Serve after flag.Parse.
 func ListenFlag() *string {

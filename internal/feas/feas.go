@@ -29,7 +29,8 @@
 // Region.UnsatSMT re-decides them against the finite-domain solver. The
 // sweep engine (SweepOptions.Prune), SelectBest's (split x
 // warp-fraction) sibling loop, both autotuners and the eatssd service
-// consume the analysis; cmd/feasbench gates its soundness catalog-wide.
+// consume the analysis. The root package's TestSweepPruneParity and
+// TestCatalogPruneCertificatesReplay gate its soundness catalog-wide.
 package feas
 
 import (
@@ -546,7 +547,7 @@ func (r *Region) Lower() (*smt.Problem, map[string]smt.Var) {
 // UnsatSMT re-decides a pruned point against the finite-domain solver:
 // it lowers the region, pins the tile variables to the point, and
 // reports whether the solver finds it unsatisfiable. A sound prune must
-// always return true; cmd/feasbench and the fuzz property gate on it.
+// always return true; TestSweepPruneParity and FuzzPipeline gate on it.
 // Tiles outside a variable's declared domain are unsatisfiable by
 // construction (the EQ pin cannot hold), matching the solver's own
 // semantics.

@@ -4,8 +4,8 @@
 // concurrent traffic over the same small universe of affine kernels.
 //
 // The layer adds four service-side mechanisms on top of the eatss
-// public API, all exercised by internal tests and the cmd/servebench
-// load generator:
+// public API, all exercised by internal tests, including a catalog-wide
+// herd over real HTTP (TestCatalogHerdOverHTTP):
 //
 //   - Two-tier caching. Tier 1 is an LRU of *eatss.Program artifacts
 //     keyed on Program.Fingerprint() — the staged analysis is computed

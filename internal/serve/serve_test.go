@@ -69,6 +69,84 @@ func TestHerdCoalescesToOneSolve(t *testing.T) {
 	}
 }
 
+// TestCatalogHerdOverHTTP holds the service to its acceptance bar over
+// real HTTP, for every catalog kernel on GA100. A herd of identical
+// cold-cache solves must coalesce onto one leader. A formulation that is
+// unsatisfiable (422) is retried as a fresh herd at the next finer warp
+// fraction, the paper's Sec. V-D fallback. A simulate at the feasible
+// fraction must then succeed. Any other error fails the test.
+func TestCatalogHerdOverHTTP(t *testing.T) {
+	const herd = 8
+	s := New(Config{})
+	// Hold each leader until its whole herd has attached, as in
+	// TestHerdCoalescesToOneSolve. Later requests hit the cache and never
+	// reach the hook.
+	s.solveHook = func(key string) {
+		spin(func() bool { return s.flights.waiters(key) == herd })
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	for _, kernel := range eatss.Kernels() {
+		feasible := 0.0
+		for i, wf := range eatss.WarpFractions {
+			body := fmt.Sprintf(`{"kernel":%q,"gpu":"ga100","warpfrac":%g}`, kernel, wf)
+			solves := s.solves.Load()
+			resps := make([]*Response, herd)
+			errs := make([]error, herd)
+			var wg sync.WaitGroup
+			for j := range resps {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					resps[j], errs[j] = postAsync(ts, "/v1/solve", body)
+				}()
+			}
+			wg.Wait()
+
+			coalesced, unsat := 0, 0
+			for j, r := range resps {
+				switch {
+				case errs[j] != nil:
+					t.Fatalf("%s warpfrac %g: %v", kernel, wf, errs[j])
+				case r.HTTPStatus == http.StatusUnprocessableEntity && strings.Contains(r.Error, "unsatisfiable") &&
+					i+1 < len(eatss.WarpFractions):
+					unsat++
+				case r.Status != StatusOK:
+					t.Fatalf("%s warpfrac %g: unexpected %s (HTTP %d): %s", kernel, wf, r.Status, r.HTTPStatus, r.Error)
+				}
+				if r.Coalesced {
+					coalesced++
+				}
+			}
+			// An error response does not carry the coalesced flag, so every
+			// herd is held to one underlying solve.
+			if got := s.solves.Load() - solves; got != 1 {
+				t.Fatalf("%s warpfrac %g: a herd of %d ran %d solves, want 1", kernel, wf, herd, got)
+			}
+			if unsat == herd {
+				continue
+			}
+			if unsat != 0 {
+				t.Fatalf("%s warpfrac %g: %d of a herd of %d unsatisfiable", kernel, wf, unsat, herd)
+			}
+			if coalesced != herd-1 {
+				t.Fatalf("%s warpfrac %g: %d of a herd of %d coalesced, want %d", kernel, wf, coalesced, herd, herd-1)
+			}
+			feasible = wf
+			break
+		}
+
+		r, err := postAsync(ts, "/v1/simulate", fmt.Sprintf(`{"kernel":%q,"gpu":"ga100","warpfrac":%g}`, kernel, feasible))
+		if err != nil {
+			t.Fatalf("%s simulate: %v", kernel, err)
+		}
+		if r.Status != StatusOK || r.Result == nil {
+			t.Fatalf("%s simulate at warpfrac %g: %s (HTTP %d): %s", kernel, feasible, r.Status, r.HTTPStatus, r.Error)
+		}
+	}
+}
+
 // TestDeadlineReturnsTimeoutWithoutKillingWork: a request whose deadline
 // expires gets a timeout status, the server stays healthy, and the
 // abandoned solve still completes and lands in the cache.
@@ -458,6 +536,22 @@ func post(t *testing.T, ts *httptest.Server, path, body string, wantStatus int) 
 		t.Fatalf("%s status = %d, want %d (error: %s)", path, resp.StatusCode, wantStatus, r.Error)
 	}
 	return &r
+}
+
+// postAsync is post for goroutines that cannot t.Fatal: it returns the
+// decoded response with its HTTP status, or the transport error.
+func postAsync(ts *httptest.Server, path, body string) (*Response, error) {
+	resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	var r Response
+	if err := json.NewDecoder(resp.Body).Decode(&r); err != nil {
+		return nil, fmt.Errorf("decode %s response: %w", path, err)
+	}
+	r.HTTPStatus = resp.StatusCode
+	return &r, nil
 }
 
 func spinUntil(t *testing.T, cond func() bool) {

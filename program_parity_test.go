@@ -18,7 +18,8 @@ import (
 // TestProgramExploreSpaceParityGemmPaperSpace sweeps gemm's full
 // 15^3-point paper space twice — once through the legacy free function,
 // once through a shared Program — with memoization off, and requires
-// byte-identical points and stats.
+// byte-identical points and stats. It then re-evaluates every point with
+// a fresh per-point analysis, the pre-staged pipeline.
 func TestProgramExploreSpaceParityGemmPaperSpace(t *testing.T) {
 	k := eatss.MustKernel("gemm")
 	g := eatss.GA100()
@@ -50,17 +51,26 @@ func TestProgramExploreSpaceParityGemmPaperSpace(t *testing.T) {
 		t.Fatal("results diverge")
 	}
 
-	// The shared artifact must also match a fresh analysis per point
-	// (the pre-staged pipeline's exact behavior): spot-check a sample.
-	for i := 0; i < len(progPts); i += 337 {
-		pt := progPts[i]
-		res, err := eatss.Run(k, g, pt.Tiles, cfg)
-		if err != nil {
-			t.Fatalf("fresh Run(%v): %v", pt.Tiles, err)
+	// The shared artifact must also match a fresh analysis per point (the
+	// pre-staged pipeline's exact behavior) at every point of the space:
+	// the same points fail to compile, and the rest agree bit for bit.
+	j := 0
+	for _, tiles := range space {
+		res, err := eatss.Run(k, g, tiles, cfg)
+		staged := j < len(progPts) && reflect.DeepEqual(progPts[j].Tiles, tiles)
+		if (err == nil) != staged {
+			t.Fatalf("tiles %v: fresh analysis ok=%t (%v), shared artifact ok=%t", tiles, err == nil, err, staged)
 		}
-		if !reflect.DeepEqual(res, pt.Result) {
-			t.Fatalf("tiles %v: fresh analysis %+v, shared artifact %+v", pt.Tiles, res, pt.Result)
+		if !staged {
+			continue
 		}
+		if !reflect.DeepEqual(res, progPts[j].Result) {
+			t.Fatalf("tiles %v: fresh analysis %+v, shared artifact %+v", tiles, res, progPts[j].Result)
+		}
+		j++
+	}
+	if j != len(progPts) {
+		t.Fatalf("shared artifact evaluated %d points, fresh analysis %d", len(progPts), j)
 	}
 }
 

@@ -62,7 +62,7 @@ type SweepOptions struct {
 	// the model-feasible subspace, so exhaustive studies that
 	// deliberately walk infeasible configurations (the paper's Sec. II
 	// exploration figures) must leave it off. Every prune is certified
-	// sound (see CertifyPrune and cmd/feasbench's catalog gate), so
+	// sound (see CertifyPrune and TestCatalogPruneCertificatesReplay), so
 	// with Prune on, the surviving points — and the argmax over them —
 	// are bit-identical to filtering a full sweep's output through the
 	// same feasibility predicate.

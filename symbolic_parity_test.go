@@ -9,12 +9,20 @@ package eatss_test
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
+	"time"
 
 	eatss "repro"
 
 	"repro/internal/affine"
+	"repro/internal/analysis"
+	"repro/internal/arch"
+	"repro/internal/codegen"
+	"repro/internal/gpusim"
+	"repro/internal/ppcg"
+	"repro/internal/symbolic"
 )
 
 // parityTol bounds the relative disagreement on float figures. The
@@ -176,4 +184,81 @@ func TestSelectBestEvalParity(t *testing.T) {
 			t.Fatalf("%s: chosen energy diverges by %.3e", name, d)
 		}
 	}
+}
+
+// symbolicSink keeps BenchmarkSymbolicSpeedup's evaluations observable,
+// so the compiler cannot drop them.
+var symbolicSink gpusim.Result
+
+// minSymbolicSpeedup is the per-point win the closed-form evaluator must
+// deliver over compile+simulate: the backend's reason to exist.
+const minSymbolicSpeedup = 10.0
+
+// BenchmarkSymbolicSpeedup walks gemm's 15^3 space on GA100 through the
+// staged compile+simulate pipeline and through the symbolic plan derived
+// from the same analysis, both single-threaded, and fails when the
+// speedup falls under the 10x floor. Each side repeats its walk for at
+// least 0.25 s and keeps its fastest pass, since noise only ever
+// inflates a pass. The plan derivation is charged once, as a sweep pays
+// it. TestSymbolicSweepParityGemm pins the two backends' parity.
+//
+//	go test -run '^$' -bench '^BenchmarkSymbolicSpeedup$' -benchtime 1x .
+func BenchmarkSymbolicSpeedup(b *testing.B) {
+	k := affine.MustLookup("gemm")
+	g := arch.GA100()
+	space := ppcg.Space(k, ppcg.PaperSpaceSizes())
+	opts := codegen.Options{UseShared: true, Precision: affine.FP64}
+	ctx := context.Background()
+	prog := analysis.Analyze(k, nil)
+	simulate := func(tiles map[string]int64) {
+		if mk, err := ppcg.CompileAnalyzed(ctx, prog, nil, tiles, g, opts); err == nil {
+			symbolicSink = gpusim.Simulate(mk, g)
+		}
+	}
+
+	for range b.N {
+		simulateSec := fastestPass(func() {
+			for _, tiles := range space {
+				simulate(tiles)
+			}
+		})
+
+		t0 := time.Now()
+		plan, err := symbolic.Derive(prog, g, symbolic.Config{UseShared: opts.UseShared, Precision: opts.Precision}, nil)
+		if err != nil {
+			b.Fatalf("symbolic derivation failed for %s: %v", k.Name, err)
+		}
+		deriveSec := time.Since(t0).Seconds()
+		symbolicSec := deriveSec + fastestPass(func() {
+			for _, tiles := range space {
+				res, err := plan.Eval(tiles)
+				if errors.Is(err, symbolic.ErrResidual) {
+					simulate(tiles)
+					continue
+				}
+				symbolicSink = res
+			}
+		})
+
+		speedup := simulateSec / symbolicSec
+		b.ReportMetric(1e6*simulateSec/float64(len(space)), "simulate-us/pt")
+		b.ReportMetric(1e6*symbolicSec/float64(len(space)), "symbolic-us/pt")
+		b.ReportMetric(1e6*deriveSec, "derive-us")
+		b.ReportMetric(speedup, "speedup")
+		if speedup < minSymbolicSpeedup {
+			b.Fatalf("symbolic speedup %.2fx under the %.0fx floor", speedup, minSymbolicSpeedup)
+		}
+	}
+}
+
+// fastestPass repeats pass for at least 0.25 s of wall clock and returns
+// its fastest run in seconds.
+func fastestPass(pass func()) float64 {
+	best := math.Inf(1)
+	for t0 := time.Now(); time.Since(t0) < 250*time.Millisecond; {
+		p0 := time.Now()
+		pass()
+		best = math.Min(best, time.Since(p0).Seconds())
+	}
+	return best
 }
