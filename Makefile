@@ -23,12 +23,13 @@ race:
 # sweep-race exercises the concurrency surfaces under the race
 # detector: the sweep worker pool, the shared evaluation cache (and its
 # cancellation-poisoning regression test), concurrent obs producers, the
-# solver's cancellation polling, and the service layer's herd
-# coalescing / deadline / load-shedding paths. It is a focused (fast)
+# solver's cancellation polling, SelectBest's concurrent shared-memory
+# splits (serial-oracle parity, cancellation and panic propagation), and
+# the service layer's herd coalescing / deadline / load-shedding paths. It is a focused (fast)
 # subset of `race` so the gate names the concurrent paths explicitly
 # even when the full suite is skipped locally.
 sweep-race:
-	$(GO) test -race -count=1 -run 'Sweep|Explore|Concurrent|SolveCtx|Cancel|Poison|Herd|Coalesc|Deadline|Shed' . ./internal/sweep ./internal/smt ./internal/obs ./internal/serve
+	$(GO) test -race -count=1 -run 'Sweep|Explore|Concurrent|SelectBest|SolveCtx|Cancel|Poison|Herd|Coalesc|Deadline|Shed' . ./internal/sweep ./internal/smt ./internal/obs ./internal/serve
 
 # obs-bench guards the observability layer's disabled-path cost: the
 # allocs/op checks proving that spans, metrics (counters, gauges and the

@@ -23,6 +23,7 @@ package eatss
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/affine"
@@ -277,8 +278,10 @@ type Best struct {
 	GPU        string
 	Chosen     Candidate
 	Candidates []Candidate
-	// SolverCalls and SolveTime aggregate across all candidates
-	// (Sec. V-G measures the end-to-end iterative process).
+	// SolverCalls and SolveTime sum the per-candidate solver effort of
+	// every split that found a configuration (Sec. V-G measures the
+	// end-to-end iterative process). The splits are solved
+	// concurrently, so SolveTime can exceed the call's wall time.
 	SolverCalls int
 	SolveTime   time.Duration
 	// InfeasibleSplits counts shared-memory splits for which no warp
@@ -305,16 +308,20 @@ var WarpFractions = core.WarpFractions
 // SelectBest runs the paper's full protocol: generate one EATSS
 // configuration per shared-memory split (falling back to finer warp
 // fractions when the formulation is unsatisfiable), evaluate each, and
-// keep the best by performance-per-Watt.
+// keep the best by performance-per-Watt. The splits run concurrently
+// and are merged in split order, so the outcome is the one a serial loop
+// over SharedSplits gives.
 func SelectBest(k *AffineKernel, g *GPU, prec Precision, params map[string]int64) (*Best, error) {
 	return SelectBestCtx(context.Background(), k, g, prec, params)
 }
 
 // SelectBestCtx is SelectBest with the caller's context threaded
 // through: one enabled run records an "eatss.select_best" span with one
-// "eatss.candidate" child per shared-memory split. The analysis is
-// staged once and shared by all nine potential solver calls and every
-// candidate evaluation.
+// "eatss.candidate" child per shared-memory split (the children
+// overlap in time). The analysis is staged once and shared by all nine
+// potential solver calls and every candidate evaluation. A ctx
+// cancelled before the protocol finishes yields an error wrapping
+// ctx.Err(), never a Best built from the splits that completed.
 func SelectBestCtx(ctx context.Context, k *AffineKernel, g *GPU, prec Precision, params map[string]int64) (*Best, error) {
 	// Solve under the kernel's own params (like SelectTiles), evaluate
 	// under the caller's params override — the pre-staged protocol's
@@ -337,79 +344,39 @@ func selectBestAnalyzed(ctx context.Context, prog *analysis.Program, g *arch.GPU
 	defer root.End()
 	root.SetStr("kernel", k.Name)
 	root.SetStr("gpu", g.Name)
+	// The splits share only the read-only Program, so they run
+	// concurrently. Each writes its own slot and the fold below reads
+	// the slots in split order, so the Best is a serial loop's.
+	outs := make([]splitOutcome, len(SharedSplits))
+	fanOut(len(outs), func(i int) {
+		outs[i] = selectSplit(ctx, prog, g, SharedSplits[i], prec, params, eval)
+	})
+	if err := ctx.Err(); err != nil {
+		// An interrupted split looks like an infeasible or unmappable
+		// one, so whatever the splits returned is not the protocol's
+		// answer: report the interruption instead of a partial Best.
+		root.SetBool("canceled", true)
+		return nil, fmt.Errorf("eatss: SelectBest for %s on %s interrupted: %w", k.Name, g.Name, err)
+	}
 	best := &Best{Kernel: k.Name, GPU: g.Name}
-	for _, split := range SharedSplits {
-		cctx, csp := obs.Start(ctx, "eatss.candidate")
-		csp.SetFloat("split", split)
-		var sel *Selection
-		var err error
-		staticSkips := 0
-		for _, wf := range WarpFractions {
-			opts := Options{
-				SplitFactor:      split,
-				WarpFraction:     wf,
-				Precision:        prec,
-				ProblemSizeAware: true,
-			}
-			// Static sibling skip: when the feasibility analysis proves
-			// this (split x warp-fraction) formulation's region empty,
-			// the solver call is guaranteed UNSAT — record the same
-			// failure it would report without paying for the search.
-			// The region is the formulation the solve would lower, so the
-			// protocol's outcome is unchanged; only the solver time is.
-			if cert := feas.Cached(prog, g, feas.ModelConfig(split, wf, prec)).Empty; cert != nil {
-				staticSkips++
-				mStaticSkips.Add(1)
-				err = fmt.Errorf("eatss: %s on %s statically infeasible (split %.2f, warpfrac %.3f): %s",
-					k.Name, g.Name, split, wf, cert)
-				continue
-			}
-			sel, err = core.SelectTilesAnalyzed(cctx, prog, g, opts)
-			if err == nil {
-				break
-			}
-		}
-		if staticSkips > 0 {
-			csp.SetInt("static_skips", int64(staticSkips))
-		}
-		if err != nil {
-			// This split has no feasible configuration at any warp
-			// fraction.
+	for i, o := range outs {
+		if o.sel == nil {
 			best.InfeasibleSplits++
-			mInfeasibleSplits.Add(1)
-			csp.SetBool("infeasible", true)
-			csp.End()
 			continue
 		}
-		best.SolverCalls += sel.SolverCalls
-		best.SolveTime += sel.SolveTime
-		res, info, err := evalAnalyzed(cctx, prog, g, sel.Tiles, RunConfig{
-			Params:    params,
-			UseShared: split > 0,
-			Precision: prec,
-			Evaluator: eval,
-		})
-		csp.SetBool("symbolic", info.symbolic)
-		if info.residual {
+		best.SolverCalls += o.sel.SolverCalls
+		best.SolveTime += o.sel.SolveTime
+		if o.residual {
 			best.Residual++
-			csp.SetBool("residual", true)
 		}
-		if err != nil {
-			// Feasible formulation, but the chosen tiles did not map.
+		if !o.mapped {
 			best.Skipped++
-			mFailedMaps.Add(1)
-			csp.SetStr("map_error", err.Error())
-			csp.End()
 			continue
 		}
-		mCandidates.Add(1)
-		csp.SetFloat("ppw", res.PPW)
-		csp.SetFloat("gflops", res.GFLOPS)
-		csp.End()
 		best.Candidates = append(best.Candidates, Candidate{
-			Selection:  sel,
-			Result:     res,
-			SharedFrac: split,
+			Selection:  o.sel,
+			Result:     o.res,
+			SharedFrac: SharedSplits[i],
 		})
 	}
 	if len(best.Candidates) == 0 {
@@ -426,6 +393,121 @@ func selectBestAnalyzed(ctx context.Context, prog *analysis.Program, g *arch.GPU
 	root.SetInt("solver_calls", int64(best.SolverCalls))
 	root.SetFloat("chosen_ppw", best.Chosen.Result.PPW)
 	return best, nil
+}
+
+// splitOutcome is one shared-memory split's share of a Best. sel is nil
+// when no warp fraction gave a satisfiable formulation (Sec. V-D's
+// failure mode); otherwise mapped reports whether sel's tiles mapped,
+// and res holds their evaluation if so.
+type splitOutcome struct {
+	sel      *Selection
+	res      Result
+	mapped   bool
+	residual bool
+}
+
+// selectSplit generates and evaluates one split's EATSS configuration
+// under its own "eatss.candidate" span: the warp fractions coarsest
+// first until one is satisfiable, then an evaluation of its tiles.
+func selectSplit(ctx context.Context, prog *analysis.Program, g *arch.GPU, split float64, prec Precision, params map[string]int64, eval Evaluator) (out splitOutcome) {
+	ctx, csp := obs.Start(ctx, "eatss.candidate")
+	defer csp.End()
+	csp.SetFloat("split", split)
+	staticSkips := 0
+	for _, wf := range WarpFractions {
+		// Static sibling skip: when the feasibility analysis proves
+		// this (split x warp-fraction) formulation's region empty, the
+		// solver call is guaranteed UNSAT, so it is skipped. The region
+		// is the formulation the solve would lower, so the protocol's
+		// outcome is unchanged; only the solver time is.
+		if feas.Cached(prog, g, feas.ModelConfig(split, wf, prec)).Empty != nil {
+			staticSkips++
+			mStaticSkips.Add(1)
+			continue
+		}
+		sel, err := core.SelectTilesAnalyzed(ctx, prog, g, Options{
+			SplitFactor:      split,
+			WarpFraction:     wf,
+			Precision:        prec,
+			ProblemSizeAware: true,
+		})
+		if err == nil {
+			out.sel = sel
+			break
+		}
+		if ctx.Err() != nil {
+			// Interrupted: the caller reports the cancellation.
+			break
+		}
+	}
+	if staticSkips > 0 {
+		csp.SetInt("static_skips", int64(staticSkips))
+	}
+	if out.sel == nil {
+		if ctx.Err() != nil {
+			csp.SetBool("canceled", true)
+			return out
+		}
+		// This split has no feasible configuration at any warp
+		// fraction.
+		mInfeasibleSplits.Add(1)
+		csp.SetBool("infeasible", true)
+		return out
+	}
+	res, info, err := evalAnalyzed(ctx, prog, g, out.sel.Tiles, RunConfig{
+		Params:    params,
+		UseShared: split > 0,
+		Precision: prec,
+		Evaluator: eval,
+	})
+	csp.SetBool("symbolic", info.symbolic)
+	if info.residual {
+		out.residual = true
+		csp.SetBool("residual", true)
+	}
+	if err != nil {
+		// Feasible formulation, but the chosen tiles did not map.
+		mFailedMaps.Add(1)
+		csp.SetStr("map_error", err.Error())
+		return out
+	}
+	mCandidates.Add(1)
+	csp.SetFloat("ppw", res.PPW)
+	csp.SetFloat("gflops", res.GFLOPS)
+	out.res, out.mapped = res, true
+	return out
+}
+
+// fanOut runs task(0), ..., task(n-1) concurrently, task 0 on the
+// calling goroutine, and returns once every task has finished, so no
+// goroutine outlives the call. A panicking task does not take down the
+// process from a goroutine the caller cannot recover: the panic is
+// captured and, after the join, re-raised with its original value on
+// the calling goroutine (the lowest-indexed one if several panicked,
+// as a serial loop would have raised it).
+func fanOut(n int, task func(i int)) {
+	panics := make([]any, n)
+	run := func(i int) {
+		defer func() { panics[i] = recover() }()
+		task(i)
+	}
+	var wg sync.WaitGroup
+	for i := 1; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			run(i)
+		}(i)
+	}
+	if n > 0 {
+		run(0)
+	}
+	wg.Wait()
+	for _, p := range panics {
+		if p != nil {
+			panic(p)
+		}
+	}
 }
 
 // ExploreStats summarizes an ExploreSpace sweep, so callers can

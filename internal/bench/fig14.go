@@ -17,6 +17,9 @@ type Fig14Row struct {
 	EnergyNorm float64
 	// YtoptTuneSec / EATSSTuneSec compare search costs: the paper
 	// observes ~17 minutes of Bayesian tuning vs seconds for EATSS.
+	// EATSSTuneSec is solver effort (the chosen candidate's solve time
+	// per candidate), not wall time: SelectBest solves its splits
+	// concurrently, so the protocol can finish sooner.
 	YtoptTuneSec float64
 	EATSSTuneSec float64
 	YtoptGF      float64
