@@ -18,7 +18,10 @@ import (
 //
 //	sum_k coeff_k * iter_k + sum_p coeff_p * param_p + Const
 //
-// The zero value is the constant 0.
+// The zero value is the constant 0. Exprs are values whose coefficient
+// maps may be shared: the parser gives every use of a name the same map,
+// and Kernel.Clone copies Exprs shallowly. Treat the maps as read-only;
+// every method returns a fresh Expr.
 type Expr struct {
 	// Iters maps iterator names to integer coefficients. Absent means 0.
 	Iters map[string]int64

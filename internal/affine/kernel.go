@@ -130,13 +130,15 @@ func (r Ref) Stride1Iters() []string {
 }
 
 // Stride1Iter returns the first (sorted) stride-1 iterator, or "" if the
-// access has none.
+// access has none. It allocates nothing.
 func (r Ref) Stride1Iter() string {
-	its := r.Stride1Iters()
-	if len(its) == 0 {
-		return ""
+	first, found := "", false
+	for name, c := range r.FastestVarying().Iters {
+		if (c == 1 || c == -1) && (!found || name < first) {
+			first, found = name, true
+		}
 	}
-	return its[0]
+	return first
 }
 
 // HasStride1 reports whether the named iterator walks the fastest-varying
@@ -345,6 +347,11 @@ func (k *Kernel) WithParams(overrides map[string]int64) *Kernel {
 // array is declared, every parameter referenced by a bound, dimension,
 // repeat count or subscript is declared in Params, and subscript counts
 // match array rank.
+//
+// Validate runs on every parse and again in every Analyze, so its success
+// path formats nothing and sorts nothing: error context is built only
+// once a check has failed. When an expression uses several undeclared
+// names, the error reports the lexically first.
 func (k *Kernel) Validate() error {
 	if k.Name == "" {
 		return fmt.Errorf("affine: kernel has no name")
@@ -352,35 +359,32 @@ func (k *Kernel) Validate() error {
 	if len(k.Nests) == 0 {
 		return fmt.Errorf("affine: kernel %q has no loop nests", k.Name)
 	}
-	checkParams := func(e Expr, where string) error {
-		for _, p := range e.ParamNames() {
-			if _, ok := k.Params[p]; !ok {
-				return fmt.Errorf("affine: kernel %q: %s references undeclared parameter %q",
-					k.Name, where, p)
-			}
-		}
-		return nil
+	declared := func(p string) bool { _, ok := k.Params[p]; return ok }
+	paramErr := func(p, where string) error {
+		return fmt.Errorf("affine: kernel %q: %s references undeclared parameter %q", k.Name, where, p)
 	}
-	arrays := make(map[string]Array, len(k.Arrays))
+	ranks := make(map[string]int, len(k.Arrays))
 	for _, a := range k.Arrays {
-		if _, dup := arrays[a.Name]; dup {
+		if _, dup := ranks[a.Name]; dup {
 			return fmt.Errorf("affine: kernel %q declares array %q twice", k.Name, a.Name)
 		}
-		arrays[a.Name] = a
+		ranks[a.Name] = len(a.Dims)
 		for _, d := range a.Dims {
 			if len(d.Iters) != 0 {
 				return fmt.Errorf("affine: array %q dimension %s uses a loop iterator", a.Name, d)
 			}
-			if err := checkParams(d, fmt.Sprintf("array %q dimension", a.Name)); err != nil {
-				return err
+			if p, bad := firstMissing(d.Params, declared); bad {
+				return paramErr(p, fmt.Sprintf("array %q dimension", a.Name))
 			}
 		}
 	}
+	seen := make(map[string]bool) // loop names of the current nest
+	bound := func(it string) bool { return seen[it] }
 	for _, n := range k.Nests {
-		if err := checkParams(n.Repeat, fmt.Sprintf("nest %q repeat count", n.Name)); err != nil {
-			return err
+		if p, bad := firstMissing(n.Repeat.Params, declared); bad {
+			return paramErr(p, fmt.Sprintf("nest %q repeat count", n.Name))
 		}
-		seen := make(map[string]bool, len(n.Loops))
+		clear(seen)
 		for _, l := range n.Loops {
 			if seen[l.Name] {
 				return fmt.Errorf("affine: nest %q has duplicate loop %q", n.Name, l.Name)
@@ -389,11 +393,11 @@ func (k *Kernel) Validate() error {
 			if len(l.Lower.Iters) != 0 || len(l.Upper.Iters) != 0 {
 				return fmt.Errorf("affine: nest %q loop %q has non-rectangular bounds", n.Name, l.Name)
 			}
-			if err := checkParams(l.Lower, fmt.Sprintf("nest %q loop %q lower bound", n.Name, l.Name)); err != nil {
-				return err
+			if p, bad := firstMissing(l.Lower.Params, declared); bad {
+				return paramErr(p, fmt.Sprintf("nest %q loop %q lower bound", n.Name, l.Name))
 			}
-			if err := checkParams(l.Upper, fmt.Sprintf("nest %q loop %q upper bound", n.Name, l.Name)); err != nil {
-				return err
+			if p, bad := firstMissing(l.Upper.Params, declared); bad {
+				return paramErr(p, fmt.Sprintf("nest %q loop %q upper bound", n.Name, l.Name))
 			}
 		}
 		if len(n.Body) == 0 {
@@ -401,29 +405,39 @@ func (k *Kernel) Validate() error {
 		}
 		for _, st := range n.Body {
 			for _, r := range st.Refs {
-				a, ok := arrays[r.Array]
+				rank, ok := ranks[r.Array]
 				if !ok {
 					return fmt.Errorf("affine: nest %q references undeclared array %q", n.Name, r.Array)
 				}
-				if len(r.Subscripts) != len(a.Dims) {
+				if len(r.Subscripts) != rank {
 					return fmt.Errorf("affine: reference %s has %d subscripts; array has rank %d",
-						r, len(r.Subscripts), len(a.Dims))
+						r, len(r.Subscripts), rank)
 				}
 				for _, sub := range r.Subscripts {
-					for _, it := range sub.IterNames() {
-						if !seen[it] {
-							return fmt.Errorf("affine: reference %s uses iterator %q not bound by nest %q",
-								r, it, n.Name)
-						}
+					if it, bad := firstMissing(sub.Iters, bound); bad {
+						return fmt.Errorf("affine: reference %s uses iterator %q not bound by nest %q",
+							r, it, n.Name)
 					}
-					if err := checkParams(sub, fmt.Sprintf("reference %s subscript", r)); err != nil {
-						return err
+					if p, bad := firstMissing(sub.Params, declared); bad {
+						return paramErr(p, fmt.Sprintf("reference %s subscript", r))
 					}
 				}
 			}
 		}
 	}
 	return nil
+}
+
+// firstMissing returns the lexically first name with a nonzero coefficient
+// in coeffs for which ok is false, the name IterNames/ParamNames order
+// would reach first. It allocates nothing.
+func firstMissing(coeffs map[string]int64, ok func(string) bool) (name string, found bool) {
+	for n, c := range coeffs {
+		if c != 0 && !ok(n) && (!found || n < name) {
+			name, found = n, true
+		}
+	}
+	return name, found
 }
 
 // String renders the kernel as pseudo-C for inspection.

@@ -43,6 +43,24 @@ func TestRefStride1Iter(t *testing.T) {
 	if got := rs.Stride1Iter(); got != "" {
 		t.Fatalf("Stride1Iter = %q, want empty", got)
 	}
+	// Several stride-1 iterators: the first in sorted order, as
+	// Stride1Iters lists them; zero and non-unit coefficients never count.
+	for _, fv := range []map[string]int64{
+		{"q": 1, "j": 1},
+		{"b": -1, "a": 2, "c": 1},
+		{"z": 1, "a": 0, "m": -1, "k": 3},
+		{"": 1, "x": 1},
+		{"a": 0},
+	} {
+		r := Ref{Array: "A", Subscripts: []Expr{{Iters: fv}}}
+		want := ""
+		if its := r.Stride1Iters(); len(its) > 0 {
+			want = its[0]
+		}
+		if got := r.Stride1Iter(); got != want {
+			t.Fatalf("Stride1Iter over %v = %q, want %q", fv, got, want)
+		}
+	}
 }
 
 func TestGemmShape(t *testing.T) {

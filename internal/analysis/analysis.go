@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -204,6 +205,9 @@ func analyzeNest(nest *affine.Nest, params map[string]int64) *NestAnalysis {
 	}
 
 	// Sec. IV-F: up to the first three parallel loops define B_size.
+	if np := min(info.NumParallel(), 3); np > 0 {
+		na.Parallel = make([]string, 0, np)
+	}
 	for d, l := range nest.Loops {
 		if info.Parallel[d] && len(na.Parallel) < 3 {
 			na.Parallel = append(na.Parallel, l.Name)
@@ -212,10 +216,6 @@ func analyzeNest(nest *affine.Nest, params map[string]int64) *NestAnalysis {
 
 	// Sec. IV-K structural weight rules (options-independent part).
 	depth := nest.Depth()
-	parallelSet := make(map[string]bool, len(na.Parallel))
-	for _, name := range na.Parallel {
-		parallelSet[name] = true
-	}
 	for d, l := range nest.Loops {
 		h := reuse.HRaw[l.Name]
 		if h == 0 {
@@ -224,7 +224,7 @@ func analyzeNest(nest *affine.Nest, params map[string]int64) *NestAnalysis {
 		switch {
 		case depth >= 3 && !info.Parallel[d]:
 			h = 0 // favor CMA over serial spatial reuse
-		case depth == 2 && info.NumParallel() == 1 && parallelSet[l.Name]:
+		case depth == 2 && info.NumParallel() == 1 && slices.Contains(na.Parallel, l.Name):
 			// 2D nests with a single parallel loop (mvt, atax, ...):
 			// the parallel loop is already mapped; prefer growing the
 			// non-parallel one (Sec. IV-K, third sub-case).
@@ -236,19 +236,20 @@ func analyzeNest(nest *affine.Nest, params map[string]int64) *NestAnalysis {
 	// Sec. IV-C volume skeletons, one per array in first-reference
 	// order. References to the same array share one data tile (the
 	// paper's matmul walkthrough M_L1 = TiTj + TkTj).
-	volIdx := make(map[string]int)
 	for _, rr := range reuse.Refs {
-		i, ok := volIdx[rr.Ref.Array]
-		if !ok {
+		i := slices.IndexFunc(na.Arrays, func(av ArrayVolume) bool { return av.Array == rr.Ref.Array })
+		if i < 0 {
 			i = len(na.Arrays)
-			volIdx[rr.Ref.Array] = i
 			na.Arrays = append(na.Arrays, ArrayVolume{Array: rr.Ref.Array})
 		}
 		if rr.Class == deps.MemL1 {
 			na.Arrays[i].L1 = true
 		}
 	}
+	// One backing array holds every volume's iterators.
+	iters := make([]string, 0, len(na.Arrays)*depth)
 	for i := range na.Arrays {
+		start := len(iters)
 		for _, l := range nest.Loops {
 			used := false
 			for _, rr := range reuse.Refs {
@@ -258,8 +259,11 @@ func analyzeNest(nest *affine.Nest, params map[string]int64) *NestAnalysis {
 				}
 			}
 			if used {
-				na.Arrays[i].Iters = append(na.Arrays[i].Iters, l.Name)
+				iters = append(iters, l.Name)
 			}
+		}
+		if len(iters) > start {
+			na.Arrays[i].Iters = iters[start:len(iters):len(iters)]
 		}
 	}
 

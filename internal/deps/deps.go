@@ -144,7 +144,11 @@ func AnalyzeNest(n *affine.Nest) *NestInfo {
 		r         affine.Ref
 		reduction bool
 	}
-	var refs []refPos
+	nrefs := 0
+	for _, st := range n.Body {
+		nrefs += len(st.Refs)
+	}
+	refs := make([]refPos, 0, nrefs)
 	for si, st := range n.Body {
 		for ri, r := range st.Refs {
 			refs = append(refs, refPos{stmt: si, ref: ri, r: r, reduction: st.Reduction})
@@ -231,15 +235,15 @@ func distanceVector(n *affine.Nest, src, dst affine.Ref) ([]Component, bool) {
 		es, ed := src.Subscripts[p], dst.Subscripts[p]
 		// Same single iterator with equal coefficient pins the distance:
 		// c*i_src + k_s = c*i_dst + k_d  =>  i_src - i_dst = (k_d-k_s)/c.
-		sIters, dIters := es.IterNames(), ed.IterNames()
+		sn, sIt := soleIter(es)
+		dn, dIt := soleIter(ed)
 		switch {
-		case len(sIters) == 1 && len(dIters) == 1 && sIters[0] == dIters[0] &&
-			es.IterCoeff(sIters[0]) == ed.IterCoeff(dIters[0]):
-			it := sIters[0]
+		case sn == 1 && dn == 1 && sIt == dIt && es.IterCoeff(sIt) == ed.IterCoeff(dIt):
+			it := sIt
 			c := es.IterCoeff(it)
 			diff := ed.Const - es.Const // parameter parts must match too
 			if !paramsEqual(es, ed) {
-				markAll(starred, sIters, dIters)
+				starred[it] = true
 				continue
 			}
 			if diff%c != 0 {
@@ -250,7 +254,7 @@ func distanceVector(n *affine.Nest, src, dst affine.Ref) ([]Component, bool) {
 				return nil, false // conflicting requirements
 			}
 			pinned[it] = dist
-		case len(sIters) == 0 && len(dIters) == 0:
+		case sn == 0 && dn == 0:
 			// Constant subscripts: must be identical, else no dependence.
 			if es.Const != ed.Const || !paramsEqual(es, ed) {
 				return nil, false
@@ -258,7 +262,8 @@ func distanceVector(n *affine.Nest, src, dst affine.Ref) ([]Component, bool) {
 		default:
 			// Multi-iterator or mismatched subscripts: every involved
 			// iterator becomes unconstrained.
-			markAll(starred, sIters, dIters)
+			starIters(starred, es)
+			starIters(starred, ed)
 		}
 	}
 
@@ -283,15 +288,42 @@ func distanceVector(n *affine.Nest, src, dst affine.Ref) ([]Component, bool) {
 	return comps, true
 }
 
+// paramsEqual reports whether a.Sub(b) has no parameter terms, without
+// building the difference: every parameter key of a is also a key of b,
+// and every coefficient of b matches a's (an absent key reads as 0). Sub
+// keeps a key of a that b lacks even at coefficient 0, so this test does
+// too.
 func paramsEqual(a, b affine.Expr) bool {
-	d := a.Sub(b)
-	return len(d.Params) == 0
+	for p := range a.Params {
+		if _, ok := b.Params[p]; !ok {
+			return false
+		}
+	}
+	for p, c := range b.Params {
+		if a.Params[p] != c {
+			return false
+		}
+	}
+	return true
 }
 
-func markAll(starred map[string]bool, lists ...[]string) {
-	for _, l := range lists {
-		for _, n := range l {
-			starred[n] = true
+// soleIter counts the iterators e uses (nonzero coefficient) and, when
+// there is exactly one, returns its name.
+func soleIter(e affine.Expr) (n int, name string) {
+	for it, c := range e.Iters {
+		if c != 0 {
+			n++
+			name = it
+		}
+	}
+	return n, name
+}
+
+// starIters marks every iterator e uses as unconstrained.
+func starIters(starred map[string]bool, e affine.Expr) {
+	for it, c := range e.Iters {
+		if c != 0 {
+			starred[it] = true
 		}
 	}
 }

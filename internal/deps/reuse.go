@@ -1,6 +1,8 @@
 package deps
 
 import (
+	"slices"
+
 	"repro/internal/affine"
 )
 
@@ -77,6 +79,13 @@ func AnalyzeReuse(n *affine.Nest) *NestReuse {
 	nr := &NestReuse{Nest: n, Info: info, HRaw: make(map[string]int64)}
 
 	// Per-reference structure.
+	nrefs := 0
+	for _, st := range n.Body {
+		nrefs += len(st.Refs)
+	}
+	if nrefs > 0 {
+		nr.Refs = make([]RefReuse, 0, nrefs)
+	}
 	for si, st := range n.Body {
 		for _, r := range st.Refs {
 			rr := RefReuse{Stmt: si, Ref: r, Stride1Iter: r.Stride1Iter()}
@@ -96,9 +105,14 @@ func AnalyzeReuse(n *affine.Nest) *NestReuse {
 	// Prefer as CMA loop the one with the highest count, breaking ties
 	// in favor of parallel loops, then of inner loops (closer to
 	// thread-id mapping).
-	for _, rr := range UniqueArrayRefs(nr.Refs) {
-		for _, it := range rr.Ref.Stride1Iters() {
-			nr.HRaw[it]++
+	for i, rr := range nr.Refs {
+		if slices.ContainsFunc(nr.Refs[:i], func(o RefReuse) bool { return sameShape(o.Ref, rr.Ref, false) }) {
+			continue // counted at its first appearance
+		}
+		for it, c := range rr.Ref.FastestVarying().Iters {
+			if unitStride(c) {
+				nr.HRaw[it]++
+			}
 		}
 	}
 	best, bestCount := "", int64(0)
@@ -130,7 +144,7 @@ func AnalyzeReuse(n *affine.Nest) *NestReuse {
 	for i := range nr.Refs {
 		rr := &nr.Refs[i]
 		switch {
-		case nr.CMALoop != "" && rr.Ref.HasStride1(nr.CMALoop):
+		case nr.CMALoop != "" && unitStride(rr.Ref.FastestVarying().Iters[nr.CMALoop]):
 			rr.Class = MemL1
 		case rr.Ref.Write:
 			rr.Class = MemL1
@@ -143,53 +157,85 @@ func AnalyzeReuse(n *affine.Nest) *NestReuse {
 	return nr
 }
 
-// lineKey identifies the cache line group of a reference: array name plus
-// all subscripts with the fastest-varying constant dropped.
-func lineKey(r affine.Ref) string {
-	key := r.Array
-	for i, s := range r.Subscripts {
-		e := s
-		if i == len(r.Subscripts)-1 {
-			e = e.AddConst(-e.Const) // canonicalize fastest constant to 0
-		}
-		key += "|" + e.String()
+// unitStride reports whether an iterator with coefficient c in the
+// fastest-varying subscript walks it with unit stride, the test
+// affine.Ref.Stride1Iters applies.
+func unitStride(c int64) bool { return c == 1 || c == -1 }
+
+// sameShape reports whether two references have the same array and
+// subscripts with the same nonzero terms and constants; with
+// anyLastConst the fastest-varying constants may differ. It decides what
+// comparing the rendered references (UniqueArrayRefs' key) decides,
+// without rendering, whenever no name is an iterator in one subscript
+// and a parameter in the other (never so for parsed or catalog kernels,
+// whose names resolve one way per nest).
+func sameShape(a, b affine.Ref, anyLastConst bool) bool {
+	if a.Array != b.Array || len(a.Subscripts) != len(b.Subscripts) {
+		return false
 	}
-	return key
+	last := len(a.Subscripts) - 1
+	for i, sa := range a.Subscripts {
+		sb := b.Subscripts[i]
+		if (sa.Const != sb.Const && !(anyLastConst && i == last)) ||
+			!sameTerms(sa.Iters, sb.Iters) || !sameTerms(sa.Params, sb.Params) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameTerms reports whether two coefficient maps have the same nonzero
+// entries.
+func sameTerms(a, b map[string]int64) bool {
+	for k, v := range a {
+		if v != 0 && b[k] != v {
+			return false
+		}
+	}
+	for k, v := range b {
+		if v != 0 && a[k] != v {
+			return false
+		}
+	}
+	return true
 }
 
 // countDistinctLineRefs merges references that are guaranteed to share a
-// cache line and counts the groups.
+// cache line and counts the groups. A group is keyed by the first
+// reference of its linear structure (sameShape, any fastest-varying
+// constant); a later reference that would stretch the group's constant
+// spread past a line counts as a new line but does not start a group.
 func countDistinctLineRefs(refs []RefReuse) int64 {
-	type group struct{ minC, maxC int64 }
-	groups := make(map[string]*group)
+	type group struct {
+		ref        affine.Ref
+		minC, maxC int64
+	}
+	var groups []group
 	count := int64(0)
+next:
 	for _, rr := range refs {
-		k := lineKey(rr.Ref)
 		c := int64(0)
 		if len(rr.Ref.Subscripts) > 0 {
 			c = rr.Ref.FastestVarying().Const
 		}
-		g, ok := groups[k]
-		if !ok {
-			groups[k] = &group{minC: c, maxC: c}
-			count++
-			continue
+		for gi := range groups {
+			g := &groups[gi]
+			if !sameShape(g.ref, rr.Ref, true) {
+				continue
+			}
+			// Same linear structure: same line if the constant spread
+			// stays within a line.
+			lo, hi := min(g.minC, c), max(g.maxC, c)
+			if hi-lo < cacheLineMergeDist {
+				g.minC, g.maxC = lo, hi
+			} else {
+				// Too far apart: this reference starts a new line.
+				count++
+			}
+			continue next
 		}
-		// Same linear structure: same line if the constant spread stays
-		// within a line.
-		min, max := g.minC, g.maxC
-		if c < min {
-			min = c
-		}
-		if c > max {
-			max = c
-		}
-		if max-min < cacheLineMergeDist {
-			g.minC, g.maxC = min, max
-		} else {
-			// Too far apart: this reference starts a new line group.
-			count++
-		}
+		groups = append(groups, group{ref: rr.Ref, minC: c, maxC: c})
+		count++
 	}
 	return count
 }

@@ -1,6 +1,7 @@
 package parser_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -22,6 +23,9 @@ func FuzzParse(f *testing.F) {
 	f.Add("# only a comment")
 	f.Add(parser.Write(affine.MustLookup("heat-3d")))
 	f.Add(strings.Repeat("kernel ", 50))
+	for _, w := range []struct{ n, size int }{{2, 128}, {2, 256}, {2, 512}, {3, 128}, {3, 256}} {
+		f.Add(wideSource(w.n, w.size))
+	}
 
 	f.Fuzz(func(t *testing.T, src string) {
 		k, err := parser.Parse(src) // must not panic
@@ -40,4 +44,23 @@ func FuzzParse(f *testing.F) {
 			t.Fatal("round trip changed kernel structure")
 		}
 	})
+}
+
+// wideSource writes the select-wide benchmark's separable DSL kernel: n
+// nests C_k[i_k][j_k] = A_k[i_k][j_k] over N x N arrays, sharing no loop.
+func wideSource(n, size int) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "kernel wide%d_%d {\n  param N = %d\n  array", n, size, size)
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			b.WriteString(",")
+		}
+		fmt.Fprintf(&b, " A%d[N][N], C%d[N][N]", i, i)
+	}
+	b.WriteString("\n")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "  nest n%[1]d {\n    for i%[1]d in 0..N\n    for j%[1]d in 0..N {\n      S%[1]d: C%[1]d[i%[1]d][j%[1]d] = A%[1]d[i%[1]d][j%[1]d]\n    }\n  }\n", i)
+	}
+	b.WriteString("}\n")
+	return b.String()
 }

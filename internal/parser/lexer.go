@@ -64,8 +64,8 @@ type lexer struct {
 	col  int
 }
 
-func newLexer(src string) *lexer {
-	return &lexer{src: src, line: 1, col: 1}
+func newLexer(src string) lexer {
+	return lexer{src: src, line: 1, col: 1}
 }
 
 // Error is a parse or lex error with position information.
@@ -108,7 +108,8 @@ func (lx *lexer) advance() byte {
 	return c
 }
 
-// next returns the next token.
+// next returns the next token. Identifier, number and symbol texts are
+// substrings of the source, so lexing allocates nothing.
 func (lx *lexer) next() (token, error) {
 	for lx.pos < len(lx.src) {
 		c := lx.peekByte()
@@ -134,23 +135,22 @@ lexeme:
 	c := lx.peekByte()
 	switch {
 	case unicode.IsLetter(rune(c)) || c == '_':
-		var b strings.Builder
+		start := lx.pos
 		for lx.pos < len(lx.src) {
 			c := lx.peekByte()
-			if unicode.IsLetter(rune(c)) || unicode.IsDigit(rune(c)) || c == '_' {
-				b.WriteByte(lx.advance())
-				continue
+			if !unicode.IsLetter(rune(c)) && !unicode.IsDigit(rune(c)) && c != '_' {
+				break
 			}
-			break
+			lx.advance()
 		}
-		return token{kind: tokIdent, text: b.String(), line: startLine, col: startCol}, nil
+		return token{kind: tokIdent, text: lx.src[start:lx.pos], line: startLine, col: startCol}, nil
 
 	case unicode.IsDigit(rune(c)):
-		var b strings.Builder
+		start := lx.pos
 		for lx.pos < len(lx.src) && unicode.IsDigit(rune(lx.peekByte())) {
-			b.WriteByte(lx.advance())
+			lx.advance()
 		}
-		return token{kind: tokNumber, text: b.String(), line: startLine, col: startCol}, nil
+		return token{kind: tokNumber, text: lx.src[start:lx.pos], line: startLine, col: startCol}, nil
 
 	case c == '.':
 		lx.advance()
@@ -170,26 +170,7 @@ lexeme:
 
 	case strings.IndexByte("{}[](),:;=-*/@<>", c) >= 0:
 		lx.advance()
-		return token{kind: tokSymbol, text: string(c), line: startLine, col: startCol}, nil
+		return token{kind: tokSymbol, text: lx.src[lx.pos-1 : lx.pos], line: startLine, col: startCol}, nil
 	}
 	return token{}, &Error{Line: startLine, Col: startCol, Msg: fmt.Sprintf("unexpected character %q", c)}
-}
-
-// lexAll tokenizes the whole input (used by the parser, which needs
-// lookahead).
-func lexAll(src string) ([]token, error) {
-	lx := newLexer(src)
-	// Kernel sources hold one token per 2–5 bytes: sizing for the
-	// densest case up front spares the doubling garbage of growing.
-	toks := make([]token, 0, len(src)/2+8)
-	for {
-		t, err := lx.next()
-		if err != nil {
-			return nil, err
-		}
-		toks = append(toks, t)
-		if t.kind == tokEOF {
-			return toks, nil
-		}
-	}
 }

@@ -30,12 +30,15 @@ func ParseNamed(src, name string) (*affine.Kernel, error) {
 }
 
 func parse(src string) (*affine.Kernel, error) {
-	toks, err := lexAll(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
+	p := &parser{lx: newLexer(src)}
+	p.tok = p.lex()
+	p.ahead = p.lex()
 	k, err := p.kernel()
+	// A lex error anywhere in the source outranks a parse error, as if
+	// the whole input were tokenized first.
+	if lexErr := p.drain(); lexErr != nil {
+		return nil, lexErr
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -45,28 +48,52 @@ func parse(src string) (*affine.Kernel, error) {
 	return k, nil
 }
 
+// parser reads tokens from the lexer on demand, holding only the
+// current token and one of lookahead.
 type parser struct {
-	toks []token
-	pos  int
+	lx     lexer
+	tok    token // current token
+	ahead  token // the token after tok
+	lexErr error // first lex error; the token stream ends (EOF) there
 
-	params map[string]bool // declared parameter names
-	iters  map[string]bool // iterators in scope (current nest)
+	// params maps each declared parameter, and iters each iterator in
+	// scope (current nest), to its single-atom expression. Every use of
+	// a name shares that expression's coefficient map.
+	params map[string]affine.Expr
+	iters  map[string]affine.Expr
 }
 
-func (p *parser) cur() token  { return p.toks[p.pos] }
-func (p *parser) peek() token { return p.toks[min(p.pos+1, len(p.toks)-1)] }
-
-func min(a, b int) int {
-	if a < b {
-		return a
+// lex returns the next token from the lexer. On a lex error it records
+// the error and yields EOF from then on.
+func (p *parser) lex() token {
+	if p.lexErr == nil {
+		t, err := p.lx.next()
+		if err == nil {
+			return t
+		}
+		p.lexErr = err
 	}
-	return b
+	return token{kind: tokEOF, line: p.lx.line, col: p.lx.col}
 }
 
+// drain lexes the rest of the source and returns the first lex error in
+// it, if any.
+func (p *parser) drain() error {
+	for p.ahead.kind != tokEOF {
+		p.ahead = p.lex()
+	}
+	return p.lexErr
+}
+
+func (p *parser) cur() token  { return p.tok }
+func (p *parser) peek() token { return p.ahead }
+
+// advance consumes the current token and returns it; at EOF it stays.
 func (p *parser) advance() token {
-	t := p.toks[p.pos]
-	if p.pos < len(p.toks)-1 {
-		p.pos++
+	t := p.tok
+	if t.kind != tokEOF {
+		p.tok = p.ahead
+		p.ahead = p.lex()
 	}
 	return t
 }
@@ -171,7 +198,7 @@ func (p *parser) kernel() (*affine.Kernel, error) {
 	}
 
 	k := &affine.Kernel{Name: name, Params: map[string]int64{}}
-	p.params = map[string]bool{}
+	p.params = map[string]affine.Expr{}
 
 	for {
 		t := p.cur()
@@ -220,10 +247,10 @@ func (p *parser) paramSection(k *affine.Kernel) error {
 		if err != nil {
 			return err
 		}
-		if p.params[name] {
+		if _, dup := p.params[name]; dup {
 			return p.errorf(p.cur(), "parameter %q declared twice", name)
 		}
-		p.params[name] = true
+		p.params[name] = affine.NewParam(name)
 		k.Params[name] = v
 		if p.cur().kind == tokSymbol && p.cur().text == "," {
 			p.advance()
@@ -281,10 +308,11 @@ func (p *parser) nestSection(k *affine.Kernel) error {
 		if err != nil {
 			return err
 		}
-		if !p.params[name] {
+		atom, ok := p.params[name]
+		if !ok {
 			return p.errorf(p.cur(), "repeat count %q is not a declared parameter", name)
 		}
-		repeat = affine.NewParam(name)
+		repeat = atom
 	}
 	if err := p.expectKeyword("nest"); err != nil {
 		return err
@@ -299,7 +327,7 @@ func (p *parser) nestSection(k *affine.Kernel) error {
 	}
 
 	nest := affine.Nest{Name: name, Repeat: repeat, Pos: pos(nt)}
-	p.iters = map[string]bool{}
+	p.iters = map[string]affine.Expr{}
 
 	// Loop headers.
 	for p.acceptKeyword("for") {
@@ -308,7 +336,7 @@ func (p *parser) nestSection(k *affine.Kernel) error {
 		if err != nil {
 			return err
 		}
-		if p.iters[iter] {
+		if _, dup := p.iters[iter]; dup {
 			return p.errorf(p.cur(), "iterator %q reused in nest %q", iter, name)
 		}
 		if err := p.expectKeyword("in"); err != nil {
@@ -328,7 +356,7 @@ func (p *parser) nestSection(k *affine.Kernel) error {
 			return err
 		}
 		nest.Loops = append(nest.Loops, affine.Loop{Name: iter, Lower: lo, Upper: hi, Pos: pos(it)})
-		p.iters[iter] = true
+		p.iters[iter] = affine.NewIter(iter)
 	}
 	if len(nest.Loops) == 0 {
 		return p.errorf(p.cur(), "nest %q has no loops", name)
@@ -536,7 +564,7 @@ func (p *parser) affineTerm(sign int64) (affine.Expr, error) {
 			return affine.Expr{}, err
 		}
 		if sign == 1 {
-			return atom, nil // fresh: scaling it by one would only copy it
+			return atom, nil // scaling by one would only copy it
 		}
 		return atom.Scale(sign), nil
 	default:
@@ -549,11 +577,11 @@ func (p *parser) affineAtom() (affine.Expr, error) {
 	if err != nil {
 		return affine.Expr{}, err
 	}
-	if p.params[name] {
-		return affine.NewParam(name), nil
+	if atom, ok := p.params[name]; ok {
+		return atom, nil
 	}
-	if p.iters != nil && p.iters[name] {
-		return affine.NewIter(name), nil
+	if atom, ok := p.iters[name]; ok {
+		return atom, nil
 	}
 	// Inside array-dimension expressions iterators are not in scope, so
 	// any unknown name must be a parameter.

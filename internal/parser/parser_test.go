@@ -185,6 +185,27 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestLexErrorOutranksParseError pins the error precedence of the
+// on-demand lexer: a lex error anywhere in the source is reported, even
+// when the parser failed earlier or would have succeeded, exactly as if
+// the whole input had been tokenized before parsing.
+func TestLexErrorOutranksParseError(t *testing.T) {
+	valid := "kernel k { param N = 4 array A[N] nest n { for i in 0..N { S: A[i] = A[i] } } }"
+	cases := []struct{ src, want string }{
+		{valid + " $", "kernel DSL:1:81: unexpected character '$'"},
+		{"kernel k { param N = }\n\n  x . y", "kernel DSL:3:5: unexpected '.'"},
+		{"nest x {} $ !", "kernel DSL:1:11: unexpected character '$'"},
+		{"kernel k { param N = 4 array A[Q] } ?", "kernel DSL:1:37: unexpected character '?'"},
+		{"kernel k { param N = }", `kernel DSL:1:22: expected number, found "}"`},
+	}
+	for _, c := range cases {
+		_, err := parser.Parse(c.src)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("parser.Parse(%q) error = %v, want %q", c.src, err, c.want)
+		}
+	}
+}
+
 func TestErrorsCarryPositions(t *testing.T) {
 	src := "kernel k {\n  param N = \n}"
 	_, err := parser.Parse(src)

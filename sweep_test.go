@@ -5,8 +5,8 @@ import (
 	"errors"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
-	"time"
 
 	eatss "repro"
 
@@ -49,26 +49,49 @@ func TestExploreSpaceParallelDeterminism(t *testing.T) {
 	}
 }
 
+// cancelOnPoll is a live context that cancels itself on its (n+1)-th Err
+// call. The sweep engine polls the caller's context before every
+// dispatch, so a sweep under it dispatches at most n points, however
+// loaded the machine is.
+type cancelOnPoll struct {
+	context.Context
+	cancel context.CancelFunc
+	polls  atomic.Int64
+	n      int64
+}
+
+func newCancelOnPoll(n int64) *cancelOnPoll {
+	ctx, cancel := context.WithCancel(context.Background())
+	return &cancelOnPoll{Context: ctx, cancel: cancel, n: n}
+}
+
+func (c *cancelOnPoll) Err() error {
+	if c.polls.Add(1) > c.n {
+		c.cancel()
+	}
+	return c.Context.Err()
+}
+
 // TestExploreSpaceCancellation: a context cancelled mid-sweep stops the
-// engine between evaluations and surfaces the abort in the stats.
+// engine between evaluations and surfaces the abort in the stats. The
+// context cancels itself at its 201st poll, a fixed point well inside
+// the sweep, rather than after a wall-clock delay a loaded machine can
+// outrun.
 func TestExploreSpaceCancellation(t *testing.T) {
 	k := eatss.MustKernel("gemm")
 	g := eatss.GA100()
-	space := eatss.PaperSpace(k) // 3,375 points — far more than can finish
+	space := eatss.PaperSpace(k) // 3,375 points
 	cfg := eatss.RunConfig{UseShared: true, Precision: eatss.FP64}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(20 * time.Millisecond)
-		cancel()
-	}()
+	ctx := newCancelOnPoll(200)
+	defer ctx.cancel()
 	pts, stats := eatss.ExploreSpaceOpt(ctx, k, g, space, cfg,
 		eatss.SweepOptions{Workers: 4, Cache: eatss.NoCache})
 	if !stats.Aborted {
-		t.Fatalf("sweep of %d points finished before 20ms cancellation: stats %+v", len(space), stats)
+		t.Fatalf("sweep of %d points finished despite cancellation: stats %+v", len(space), stats)
 	}
-	if stats.Evaluated+stats.Skipped >= len(space) {
-		t.Fatalf("cancelled sweep still evaluated everything: stats %+v", stats)
+	if n := stats.Evaluated + stats.Skipped; n == 0 || n >= len(space) {
+		t.Fatalf("cancellation did not stop the sweep mid-way: stats %+v", stats)
 	}
 	if len(pts) != stats.Evaluated {
 		t.Fatalf("partial results inconsistent: %d points, stats %+v", len(pts), stats)
