@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all fmt vet build test race sweep-race obs-bench profile-demo lint-gate selfcheck symbolic-parity symbolic-bench check clean
+.PHONY: all fmt vet build test race sweep-race obs-bench profile-demo lint-gate selfcheck symbolic-parity symbolic-bench bench-module check clean
 
 all: check
 
@@ -87,14 +87,24 @@ lint-gate:
 selfcheck:
 	$(GO) run ./tools/selfcheck .
 
+# bench-module vets and tests the benchmark (cmd/bench), a separate Go
+# module that builds against this checkout through a replace directive.
+# `go build ./...` and `go test ./...` at the root skip nested modules, so
+# without this target a change that removes or renames a name the
+# benchmark compiles against would surface only when the benchmark runs.
+# It writes no tracked file.
+bench-module:
+	cd cmd/bench && $(GO) vet ./... && $(GO) test -count=1 ./...
+
 # check is the gate a change must pass before it lands: formatting,
 # static analysis (go vet plus the repo's own selfcheck analyzer), a full build, the
 # kernel lint gate, the concurrency race gate, the symbolic-backend
 # parity and speedup gates, the zero-cost-observability guard, the
-# attribution-profiler demo, and the full test suite under the race
-# detector (which holds the staged-compilation, static-feasibility and
-# service-herd gates). It writes no tracked file.
-check: fmt vet build selfcheck lint-gate sweep-race symbolic-parity symbolic-bench obs-bench profile-demo race
+# attribution-profiler demo, the benchmark module's vet and tests, and the
+# full test suite under the race detector (which holds the
+# staged-compilation, static-feasibility and service-herd gates). It
+# writes no tracked file.
+check: fmt vet build selfcheck lint-gate sweep-race symbolic-parity symbolic-bench obs-bench profile-demo bench-module race
 
 clean:
 	$(GO) clean ./...

@@ -1,6 +1,7 @@
 package eatss
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -48,11 +49,14 @@ func TestCertifyAllSelections(t *testing.T) {
 	gpus := []*GPU{GA100(), Xavier()}
 	certified := 0
 	for name, k := range kernels {
+		prog, err := Analyze(k, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 		for _, g := range gpus {
 			var sel *Selection
-			var err error
 			for _, wf := range WarpFractions {
-				sel, err = SelectTiles(k, g, Options{
+				sel, err = prog.SelectTiles(g, Options{
 					SplitFactor:      0.5,
 					WarpFraction:     wf,
 					Precision:        FP64,
@@ -73,7 +77,7 @@ func TestCertifyAllSelections(t *testing.T) {
 			}
 			certified++
 			// The compiled mapping must certify too.
-			if _, err := Compile(k, g, sel.Tiles, RunConfig{
+			if _, err := prog.CompileCtx(context.Background(), g, sel.Tiles, RunConfig{
 				UseShared: true, Precision: FP64, Verify: VerifyAll,
 			}); err != nil {
 				t.Errorf("%s on %s: compile under Verify=All failed: %v", name, g.Name, err)
@@ -137,13 +141,16 @@ func TestInjectedTileBugIsCaught(t *testing.T) {
 // TestInjectedMappingBugIsCaught corrupts a compiled mapping's geometry
 // and checks CertifyMapped rejects it.
 func TestInjectedMappingBugIsCaught(t *testing.T) {
-	k := MustKernel("gemm")
 	g := GA100()
-	sel, err := SelectTiles(k, g, DefaultOptions())
+	prog, err := Analyze(MustKernel("gemm"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mk, err := Compile(k, g, sel.Tiles, RunConfig{UseShared: true, Precision: FP64})
+	sel, err := prog.SelectTiles(g, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mk, err := prog.CompileCtx(context.Background(), g, sel.Tiles, RunConfig{UseShared: true, Precision: FP64})
 	if err != nil {
 		t.Fatal(err)
 	}

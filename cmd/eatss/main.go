@@ -174,7 +174,7 @@ func main() {
 	}
 
 	if *best {
-		b, err := prog.SelectBestCtx(ctx, g, prec)
+		b, err := prog.SelectBestEval(ctx, g, prec, eatss.EvalSimulate)
 		if err != nil {
 			fatal(err)
 		}
@@ -249,7 +249,7 @@ func main() {
 		}
 	}
 
-	res, err := prog.RunCtx(ctx, g, sel.Tiles, cfg)
+	res, _, err := prog.RunCtx(ctx, g, sel.Tiles, cfg)
 	if err != nil {
 		fatal(err)
 	}
@@ -266,7 +266,7 @@ func main() {
 }
 
 func compareDefault(ctx context.Context, prog *eatss.Program, g *eatss.GPU, params map[string]int64, res eatss.Result) {
-	def, err := prog.RunCtx(ctx, g, prog.DefaultTiles(), eatss.RunConfig{
+	def, _, err := prog.RunCtx(ctx, g, eatss.DefaultTiles(prog.Kernel()), eatss.RunConfig{
 		Params: params, UseShared: true, Precision: eatss.FP64,
 	})
 	if err != nil {
@@ -297,8 +297,8 @@ func emitProfile(ctx context.Context, prog *eatss.Program, g *eatss.GPU, params 
 		slacks, _ := prog.Explain(g, sel)
 		fmt.Println()
 		fmt.Print(eatss.ExplainEnergy(sel, slacks, p))
-		defTiles := prog.DefaultTiles()
-		def, err := prog.RunCtx(ctx, g, defTiles, eatss.RunConfig{
+		defTiles := eatss.DefaultTiles(prog.Kernel())
+		def, _, err := prog.RunCtx(ctx, g, defTiles, eatss.RunConfig{
 			Params: params, UseShared: true, Precision: eatss.FP64,
 		})
 		if err == nil {
@@ -348,7 +348,7 @@ func emitSurface(ctx context.Context, prog *eatss.Program, g *eatss.GPU, params 
 	if len(sizes) == 0 {
 		fatal(fmt.Errorf("-surface-sizes is empty"))
 	}
-	space := prog.Space(sizes)
+	space := eatss.Space(prog.Kernel(), sizes)
 	pts, stats := prog.ExploreSpaceOpt(ctx, g, space, eatss.RunConfig{
 		Params: params, UseShared: true, Precision: prec,
 	}, eatss.SweepOptions{})

@@ -28,7 +28,7 @@ func main() {
 	top := flag.Int("top", 10, "how many top variants to print")
 	paper15 := flag.Bool("paper15", false, "force the 15-sizes-per-dim space for 3D kernels")
 	j := flag.Int("j", 0, "parallel sweep workers (0 = GOMAXPROCS, 1 = sequential)")
-	evalName := flag.String("evaluator", "simulate", "evaluation backend: simulate | symbolic | auto")
+	evalName := flag.String("evaluator", "simulate", "evaluation backend: simulate | symbolic (auto = symbolic)")
 	listen := cli.ListenFlag()
 	cli.SetUsage("explore", "evaluate a kernel's full tile space on the simulated GPU",
 		"explore -kernel 2mm                  # the paper's 3,375-variant space",
@@ -68,9 +68,9 @@ func main() {
 
 	var space []map[string]int64
 	if *paper15 || k.MaxDepth() <= 3 {
-		space = prog.PaperSpace()
+		space = eatss.PaperSpace(k)
 	} else {
-		space = prog.Space([]int64{4, 8, 16, 32, 64})
+		space = eatss.Space(k, []int64{4, 8, 16, 32, 64})
 	}
 	pts, stats := prog.ExploreSpaceOpt(context.Background(), g, space, cfg,
 		eatss.SweepOptions{Workers: *j})
@@ -79,7 +79,7 @@ func main() {
 			*kernel, stats.Skipped, len(space)))
 	}
 
-	def, err := prog.Run(g, prog.DefaultTiles(), cfg)
+	def, _, err := prog.RunCtx(context.Background(), g, eatss.DefaultTiles(k), cfg)
 	if err != nil {
 		fatal(err)
 	}
@@ -100,7 +100,7 @@ func main() {
 	fmt.Printf("variants beating default: %.1f%% on perf, %.1f%% on energy\n",
 		100*float64(beatPerf)/float64(len(pts)), 100*float64(beatEnergy)/float64(len(pts)))
 
-	if best, err := prog.SelectBest(g, eatss.FP64); err == nil {
+	if best, err := prog.SelectBestEval(context.Background(), g, eatss.FP64, eatss.EvalSimulate); err == nil {
 		u := best.Chosen.Result
 		fmt.Printf("U (EATSS, split %.2f %v): %.1f GFLOP/s  %.3f J  PPW %.2f\n",
 			best.Chosen.SharedFrac, best.Chosen.Selection.Tiles, u.GFLOPS, u.EnergyJ, u.PPW)

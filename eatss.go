@@ -11,13 +11,19 @@
 //   - a GPU performance/power simulator standing in for the GA100 and
 //     Jetson AGX Xavier testbeds.
 //
-// The typical flow:
+// The typical flow stages a kernel once with Analyze and runs every
+// operation through the resulting Program:
 //
 //	k, _ := eatss.Kernel("gemm")
 //	g := eatss.GA100()
-//	sel, _ := eatss.SelectTiles(k, g, eatss.DefaultOptions())
-//	res, _ := eatss.Run(k, g, sel.Tiles, eatss.RunConfig{UseShared: true})
+//	prog, _ := eatss.Analyze(k, nil)
+//	sel, _ := prog.SelectTiles(g, eatss.DefaultOptions())
+//	res, _, _ := prog.RunCtx(ctx, g, sel.Tiles, eatss.RunConfig{UseShared: true})
 //	fmt.Println(res.GFLOPS, res.AvgPowerW, res.PPW)
+//
+// The few package-level helpers (SelectTiles, ExploreSpaceOpt) are
+// one-shot conveniences that call Analyze first, so they validate the
+// kernel exactly like the Program path.
 package eatss
 
 import (
@@ -31,7 +37,6 @@ import (
 	"repro/internal/arch"
 	"repro/internal/codegen"
 	"repro/internal/core"
-	"repro/internal/feas"
 	"repro/internal/gpusim"
 	"repro/internal/obs"
 	"repro/internal/parser"
@@ -81,10 +86,10 @@ const (
 )
 
 // Evaluator selects the evaluation backend for tile points: the
-// per-point compile+simulate path, the closed-form symbolic plans of
-// internal/symbolic (with simulator fallback for residual points), or
-// an automatic choice. The zero value is EvalSimulate, so existing
-// RunConfigs keep their behaviour.
+// per-point compile+simulate path or the closed-form symbolic plans of
+// internal/symbolic (with simulator fallback for residual points). The
+// zero value is EvalSimulate, so existing RunConfigs keep their
+// behaviour.
 type Evaluator = symbolic.Evaluator
 
 // Evaluation backends.
@@ -94,13 +99,15 @@ const (
 	// EvalSymbolic evaluates through the once-per-Program closed-form
 	// plan, falling back to simulation only for residual points.
 	EvalSymbolic = symbolic.EvalSymbolic
-	// EvalAuto lets the library pick the fastest exact backend.
-	EvalAuto = symbolic.EvalAuto
+	// EvalAuto asks for the fastest exact backend. That is the
+	// closed-form plan with simulator fallback, so EvalAuto is an alias
+	// of EvalSymbolic (and reports itself as "symbolic").
+	EvalAuto = symbolic.EvalSymbolic
 )
 
 // ParseEvaluator parses "simulate", "symbolic" or "auto" (the empty
-// string means EvalSimulate), as accepted by CLI flags and the eatssd
-// request field.
+// string means EvalSimulate; "auto" means EvalSymbolic), as accepted by
+// CLI flags and the eatssd request field.
 func ParseEvaluator(s string) (Evaluator, error) { return symbolic.ParseEvaluator(s) }
 
 // Kernels returns the names of the built-in benchmark kernels.
@@ -169,32 +176,22 @@ func GPUByName(name string) (*GPU, error) {
 }
 
 // ConstraintSlack reports one resource constraint's usage under a
-// selection (see Explain).
+// selection (see Program.Explain).
 type ConstraintSlack = core.ConstraintSlack
-
-// Explain evaluates the selection's resource constraints under its chosen
-// tiles and reports usage and binding constraints (the paper's
-// walkthrough arithmetic: e.g. gemm's L1 capacity binds exactly at
-// (Ti+Tk)*Tj = M_L1). The string is a rendered table.
-func Explain(k *AffineKernel, g *GPU, sel *Selection) ([]ConstraintSlack, string) {
-	return core.Explain(k, g, sel)
-}
 
 // DefaultOptions mirrors the paper's GA100 walkthrough (50% split,
 // half-warp alignment, FP64).
 func DefaultOptions() Options { return core.DefaultOptions() }
 
-// SelectTiles runs the EATSS model generator and solver (Sec. IV).
+// SelectTiles runs the EATSS model generator and solver (Sec. IV) on a
+// kernel: a one-shot Analyze(k, nil) followed by Program.SelectTiles.
+// A kernel Analyze rejects returns Analyze's error.
 func SelectTiles(k *AffineKernel, g *GPU, opts Options) (*Selection, error) {
-	return core.SelectTiles(k, g, opts)
-}
-
-// SelectTilesCtx is SelectTiles with the caller's context threaded
-// through, so spans recorded by the model generator and solver nest
-// under the caller's internal/obs span (see README's Observability
-// section).
-func SelectTilesCtx(ctx context.Context, k *AffineKernel, g *GPU, opts Options) (*Selection, error) {
-	return core.SelectTilesCtx(ctx, k, g, opts)
+	prog, err := Analyze(k, nil)
+	if err != nil {
+		return nil, err
+	}
+	return prog.SelectTiles(g, opts)
 }
 
 // DefaultTiles returns PPCG's default 32^d configuration.
@@ -226,45 +223,20 @@ type RunConfig struct {
 	// (launch geometry, staging footprint, register budget — see
 	// CertifyMapped). A failed certification is a hard compile error.
 	Verify VerifyMode
-	// Evaluator selects the evaluation backend for Run/ExploreSpace/
-	// SelectBest (and, through them, autotune and the eatssd service):
-	// EvalSimulate (default) compiles and simulates each point;
-	// EvalSymbolic and EvalAuto evaluate through a closed-form plan
-	// derived once per Program, falling back to simulation for residual
-	// points (configurations using TimeTileFuse, RegTile or Verify are
-	// outside the closed-form domain and always simulate). Compile
-	// ignores it — a MappedKernel is inherently a compile artifact.
+	// Evaluator selects the evaluation backend for RunCtx,
+	// ExploreSpaceOpt and SelectBestEval (and, through them, autotune
+	// and the eatssd service): EvalSimulate (default) compiles and
+	// simulates each point; EvalSymbolic evaluates through a closed-form
+	// plan derived once per Program, falling back to simulation for
+	// residual points (configurations using TimeTileFuse, RegTile or
+	// Verify are outside the closed-form domain and always simulate).
+	// CompileCtx ignores it — a MappedKernel is inherently a compile
+	// artifact.
 	Evaluator Evaluator
 }
 
-// Compile maps a kernel with the given tiles onto the GPU (the PPCG step).
-func Compile(k *AffineKernel, g *GPU, tiles map[string]int64, cfg RunConfig) (*MappedKernel, error) {
-	return CompileCtx(context.Background(), k, g, tiles, cfg)
-}
-
-// CompileCtx is Compile with the caller's context threaded through for
-// observability. It stages the analysis fresh; callers compiling more
-// than one configuration should Analyze once and use Program.Compile.
-func CompileCtx(ctx context.Context, k *AffineKernel, g *GPU, tiles map[string]int64, cfg RunConfig) (*MappedKernel, error) {
-	return compileAnalyzed(ctx, analysis.AnalyzeCtx(ctx, k, cfg.Params), g, tiles, cfg)
-}
-
-// Run compiles and simulates one tile configuration.
-func Run(k *AffineKernel, g *GPU, tiles map[string]int64, cfg RunConfig) (Result, error) {
-	return RunCtx(context.Background(), k, g, tiles, cfg)
-}
-
-// RunCtx is Run with the caller's context threaded through: one enabled
-// call produces a compile span and a simulate span under the caller's.
-// It stages the analysis fresh; callers evaluating more than one tile
-// configuration should Analyze once and use Program.Run.
-func RunCtx(ctx context.Context, k *AffineKernel, g *GPU, tiles map[string]int64, cfg RunConfig) (Result, error) {
-	res, _, err := evalAnalyzed(ctx, analysis.AnalyzeCtx(ctx, k, cfg.Params), g, tiles, cfg)
-	return res, err
-}
-
 // Candidate is one (EATSS configuration, simulated outcome) pair from
-// SelectBest.
+// SelectBestEval.
 type Candidate struct {
 	Selection *Selection
 	Result    Result
@@ -305,40 +277,8 @@ var SharedSplits = core.SharedSplits
 // high-dimensional kernels (Sec. V-D).
 var WarpFractions = core.WarpFractions
 
-// SelectBest runs the paper's full protocol: generate one EATSS
-// configuration per shared-memory split (falling back to finer warp
-// fractions when the formulation is unsatisfiable), evaluate each, and
-// keep the best by performance-per-Watt. The splits run concurrently
-// and are merged in split order, so the outcome is the one a serial loop
-// over SharedSplits gives.
-func SelectBest(k *AffineKernel, g *GPU, prec Precision, params map[string]int64) (*Best, error) {
-	return SelectBestCtx(context.Background(), k, g, prec, params)
-}
-
-// SelectBestCtx is SelectBest with the caller's context threaded
-// through: one enabled run records an "eatss.select_best" span with one
-// "eatss.candidate" child per shared-memory split (the children
-// overlap in time). The analysis is staged once and shared by all nine
-// potential solver calls and every candidate evaluation. A ctx
-// cancelled before the protocol finishes yields an error wrapping
-// ctx.Err(), never a Best built from the splits that completed.
-func SelectBestCtx(ctx context.Context, k *AffineKernel, g *GPU, prec Precision, params map[string]int64) (*Best, error) {
-	// Solve under the kernel's own params (like SelectTiles), evaluate
-	// under the caller's params override — the pre-staged protocol's
-	// semantics. The reuse analysis is size-independent, so one artifact
-	// serves both.
-	return selectBestAnalyzed(ctx, analysis.AnalyzeCtx(ctx, k, nil), g, prec, params, EvalSimulate)
-}
-
-// SelectBestEval is SelectBestCtx with an explicit evaluation backend:
-// under EvalSymbolic/EvalAuto each candidate is evaluated through the
-// Program's closed-form plan (with simulator fallback for residual
-// configurations) instead of being compiled and simulated.
-func SelectBestEval(ctx context.Context, k *AffineKernel, g *GPU, prec Precision, params map[string]int64, eval Evaluator) (*Best, error) {
-	return selectBestAnalyzed(ctx, analysis.AnalyzeCtx(ctx, k, nil), g, prec, params, eval)
-}
-
-func selectBestAnalyzed(ctx context.Context, prog *analysis.Program, g *arch.GPU, prec Precision, params map[string]int64, eval Evaluator) (*Best, error) {
+// selectBestAnalyzed is SelectBestEval's protocol on a staged analysis.
+func selectBestAnalyzed(ctx context.Context, prog *analysis.Program, g *arch.GPU, prec Precision, eval Evaluator) (*Best, error) {
 	k := prog.Kernel
 	ctx, root := obs.Start(ctx, "eatss.select_best")
 	defer root.End()
@@ -349,7 +289,7 @@ func selectBestAnalyzed(ctx context.Context, prog *analysis.Program, g *arch.GPU
 	// the slots in split order, so the Best is a serial loop's.
 	outs := make([]splitOutcome, len(SharedSplits))
 	fanOut(len(outs), func(i int) {
-		outs[i] = selectSplit(ctx, prog, g, SharedSplits[i], prec, params, eval)
+		outs[i] = selectSplit(ctx, prog, g, SharedSplits[i], prec, eval)
 	})
 	if err := ctx.Err(); err != nil {
 		// An interrupted split looks like an infeasible or unmappable
@@ -407,43 +347,18 @@ type splitOutcome struct {
 }
 
 // selectSplit generates and evaluates one split's EATSS configuration
-// under its own "eatss.candidate" span: the warp fractions coarsest
-// first until one is satisfiable, then an evaluation of its tiles.
-func selectSplit(ctx context.Context, prog *analysis.Program, g *arch.GPU, split float64, prec Precision, params map[string]int64, eval Evaluator) (out splitOutcome) {
+// under its own "eatss.candidate" span: core.SelectSplit's warp-fraction
+// fallback, then an evaluation of its tiles.
+func selectSplit(ctx context.Context, prog *analysis.Program, g *arch.GPU, split float64, prec Precision, eval Evaluator) (out splitOutcome) {
 	ctx, csp := obs.Start(ctx, "eatss.candidate")
 	defer csp.End()
 	csp.SetFloat("split", split)
-	staticSkips := 0
-	for _, wf := range WarpFractions {
-		// Static sibling skip: when the feasibility analysis proves
-		// this (split x warp-fraction) formulation's region empty, the
-		// solver call is guaranteed UNSAT, so it is skipped. The region
-		// is the formulation the solve would lower, so the protocol's
-		// outcome is unchanged; only the solver time is.
-		if feas.Cached(prog, g, feas.ModelConfig(split, wf, prec)).Empty != nil {
-			staticSkips++
-			mStaticSkips.Add(1)
-			continue
-		}
-		sel, err := core.SelectTilesAnalyzed(ctx, prog, g, Options{
-			SplitFactor:      split,
-			WarpFraction:     wf,
-			Precision:        prec,
-			ProblemSizeAware: true,
-		})
-		if err == nil {
-			out.sel = sel
-			break
-		}
-		if ctx.Err() != nil {
-			// Interrupted: the caller reports the cancellation.
-			break
-		}
-	}
+	sel, staticSkips, _ := core.SelectSplit(ctx, prog, g, split, prec)
 	if staticSkips > 0 {
+		mStaticSkips.Add(int64(staticSkips))
 		csp.SetInt("static_skips", int64(staticSkips))
 	}
-	if out.sel == nil {
+	if sel == nil {
 		if ctx.Err() != nil {
 			csp.SetBool("canceled", true)
 			return out
@@ -454,14 +369,14 @@ func selectSplit(ctx context.Context, prog *analysis.Program, g *arch.GPU, split
 		csp.SetBool("infeasible", true)
 		return out
 	}
-	res, info, err := evalAnalyzed(ctx, prog, g, out.sel.Tiles, RunConfig{
-		Params:    params,
+	out.sel = sel
+	res, info, err := evalAnalyzed(ctx, prog, g, sel.Tiles, RunConfig{
 		UseShared: split > 0,
 		Precision: prec,
 		Evaluator: eval,
 	})
-	csp.SetBool("symbolic", info.symbolic)
-	if info.residual {
+	csp.SetBool("symbolic", info.Symbolic)
+	if info.Residual {
 		out.residual = true
 		csp.SetBool("residual", true)
 	}
@@ -510,7 +425,7 @@ func fanOut(n int, task func(i int)) {
 	}
 }
 
-// ExploreStats summarizes an ExploreSpace sweep, so callers can
+// ExploreStats summarizes an ExploreSpaceOpt sweep, so callers can
 // distinguish "the space was empty" from "every configuration failed to
 // map" (and, since the sweep engine became concurrent, "the sweep was
 // cancelled part-way").
@@ -536,28 +451,6 @@ type ExploreStats struct {
 	// finished: the returned points cover only the configurations
 	// dispatched before cancellation.
 	Aborted bool
-}
-
-// ExploreSpace simulates every tile configuration in the space (the
-// paper's exhaustive exploration studies, Secs. II and V). Configurations
-// that fail to map are counted in the returned stats' Skipped field. The
-// returned slice is ordered like the input space.
-//
-// Evaluations run on a bounded worker pool (GOMAXPROCS workers) and are
-// memoized in DefaultEvalCache; use ExploreSpaceOpt to control either.
-// The parallel sweep returns byte-identical results to a sequential one.
-func ExploreSpace(k *AffineKernel, g *GPU, space []map[string]int64, cfg RunConfig) ([]SpacePoint, ExploreStats) {
-	return ExploreSpaceCtx(context.Background(), k, g, space, cfg)
-}
-
-// ExploreSpaceCtx is ExploreSpace with the caller's context threaded
-// through, for observability and cancellation: a cancelled ctx stops the
-// sweep between evaluations and returns the points completed so far with
-// stats.Aborted set. Note that with tracing enabled every configuration
-// records compile/simulate spans (nested under per-worker "sweep.worker"
-// spans), so sweeping thousands of points produces a large trace.
-func ExploreSpaceCtx(ctx context.Context, k *AffineKernel, g *GPU, space []map[string]int64, cfg RunConfig) ([]SpacePoint, ExploreStats) {
-	return ExploreSpaceOpt(ctx, k, g, space, cfg, SweepOptions{})
 }
 
 // SpacePoint is one evaluated tile configuration. Tiles is a defensive

@@ -1,6 +1,7 @@
 package eatss_test
 
 import (
+	"context"
 	"os"
 	"strings"
 	"testing"
@@ -11,13 +12,25 @@ import (
 // Integration tests of the public API: the full select -> compile ->
 // simulate pipeline as a downstream user would drive it.
 
+// stage analyzes k under params, failing the test on error.
+func stage(t testing.TB, k *eatss.AffineKernel, params map[string]int64) *eatss.Program {
+	t.Helper()
+	prog, err := eatss.Analyze(k, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prog
+}
+
 func TestEndToEndGemm(t *testing.T) {
 	k, err := eatss.Kernel("gemm")
 	if err != nil {
 		t.Fatal(err)
 	}
 	g := eatss.GA100()
-	sel, err := eatss.SelectTiles(k, g, eatss.DefaultOptions())
+	ctx := context.Background()
+	prog := stage(t, k, nil)
+	sel, err := prog.SelectTiles(g, eatss.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,11 +38,11 @@ func TestEndToEndGemm(t *testing.T) {
 	if sel.Tiles["i"] != 16 || sel.Tiles["j"] != 384 || sel.Tiles["k"] != 16 {
 		t.Fatalf("tiles = %v, want paper's (16, 384, 16)", sel.Tiles)
 	}
-	res, err := eatss.Run(k, g, sel.Tiles, eatss.RunConfig{UseShared: true, Precision: eatss.FP64})
+	res, _, err := prog.RunCtx(ctx, g, sel.Tiles, eatss.RunConfig{UseShared: true, Precision: eatss.FP64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	def, err := eatss.Run(k, g, eatss.DefaultTiles(k), eatss.RunConfig{UseShared: true, Precision: eatss.FP64})
+	def, _, err := prog.RunCtx(ctx, g, eatss.DefaultTiles(k), eatss.RunConfig{UseShared: true, Precision: eatss.FP64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,8 +52,8 @@ func TestEndToEndGemm(t *testing.T) {
 }
 
 func TestSelectBestProtocol(t *testing.T) {
-	k := eatss.MustKernel("2mm")
-	best, err := eatss.SelectBest(k, eatss.GA100(), eatss.FP64, nil)
+	prog := stage(t, eatss.MustKernel("2mm"), nil)
+	best, err := prog.SelectBestEval(context.Background(), eatss.GA100(), eatss.FP64, eatss.EvalSimulate)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +84,7 @@ func TestAllKernelsEndToEndBothGPUs(t *testing.T) {
 					params = std
 				}
 			}
-			best, err := eatss.SelectBest(k.WithParams(params), g, eatss.FP64, params)
+			best, err := stage(t, k, params).SelectBestEval(context.Background(), g, eatss.FP64, eatss.EvalSimulate)
 			if err != nil {
 				t.Errorf("%s on %s: %v", name, gname, err)
 				continue
@@ -91,7 +104,8 @@ func TestExploreSpaceOrderingAndValidity(t *testing.T) {
 	k := eatss.MustKernel("mvt")
 	g := eatss.GA100()
 	space := eatss.Space(k, []int64{16, 32, 64})
-	pts, stats := eatss.ExploreSpace(k, g, space, eatss.RunConfig{UseShared: true, Precision: eatss.FP64})
+	pts, stats := eatss.ExploreSpaceOpt(context.Background(), k, g, space,
+		eatss.RunConfig{UseShared: true, Precision: eatss.FP64}, eatss.SweepOptions{})
 	if len(pts) != 9 {
 		t.Fatalf("points = %d, want 9", len(pts))
 	}
@@ -107,7 +121,7 @@ func TestExploreSpaceOrderingAndValidity(t *testing.T) {
 
 func TestCompileProducesCUDA(t *testing.T) {
 	k := eatss.MustKernel("gemm")
-	mk, err := eatss.Compile(k, eatss.GA100(), eatss.DefaultTiles(k),
+	mk, err := stage(t, k, nil).CompileCtx(context.Background(), eatss.GA100(), eatss.DefaultTiles(k),
 		eatss.RunConfig{UseShared: true, Precision: eatss.FP64})
 	if err != nil {
 		t.Fatal(err)
@@ -151,11 +165,13 @@ func TestV100Pipeline(t *testing.T) {
 	// platform too.
 	k := eatss.MustKernel("gemm")
 	g := eatss.V100()
-	best, err := eatss.SelectBest(k, g, eatss.FP64, nil)
+	ctx := context.Background()
+	prog := stage(t, k, nil)
+	best, err := prog.SelectBestEval(ctx, g, eatss.FP64, eatss.EvalSimulate)
 	if err != nil {
 		t.Fatal(err)
 	}
-	def, err := eatss.Run(k, g, eatss.DefaultTiles(k), eatss.RunConfig{UseShared: true, Precision: eatss.FP64})
+	def, _, err := prog.RunCtx(ctx, g, eatss.DefaultTiles(k), eatss.RunConfig{UseShared: true, Precision: eatss.FP64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,5 +196,32 @@ func TestLoadGPURoundTrip(t *testing.T) {
 	}
 	if g.Name != "GA100" {
 		t.Fatalf("loaded %q", g.Name)
+	}
+}
+
+// TestInvalidKernelRejectedOnEveryPath pins validation on the
+// package-level helpers: on a kernel Analyze rejects (gemm with its
+// parameters cleared, so its arrays reference undeclared sizes),
+// SelectTiles returns Analyze's error and ExploreSpaceOpt evaluates
+// nothing, counting every configuration as skipped.
+func TestInvalidKernelRejectedOnEveryPath(t *testing.T) {
+	k := eatss.MustKernel("gemm").Clone()
+	k.Params = nil
+	g := eatss.GA100()
+	_, aerr := eatss.Analyze(k, nil)
+	if aerr == nil {
+		t.Fatal("Analyze accepted gemm without parameters")
+	}
+	if _, err := eatss.SelectTiles(k, g, eatss.DefaultOptions()); err == nil || err.Error() != aerr.Error() {
+		t.Fatalf("SelectTiles error = %v, want Analyze's %v", err, aerr)
+	}
+	space := eatss.Space(k, []int64{16, 32})
+	pts, stats := eatss.ExploreSpaceOpt(context.Background(), k, g, space,
+		eatss.RunConfig{UseShared: true, Precision: eatss.FP64}, eatss.SweepOptions{})
+	if len(pts) != 0 {
+		t.Fatalf("ExploreSpaceOpt returned %d points for an invalid kernel", len(pts))
+	}
+	if want := (eatss.ExploreStats{Skipped: len(space)}); stats != want {
+		t.Fatalf("ExploreSpaceOpt stats = %+v, want %+v", stats, want)
 	}
 }

@@ -1,6 +1,7 @@
 package eatss_test
 
 import (
+	"context"
 	"fmt"
 
 	eatss "repro"
@@ -49,14 +50,18 @@ func ExampleDefaultTiles() {
 	// Output: 32 32 32
 }
 
-// ExampleRun compiles and simulates one configuration and prints whether
-// EATSS's choice beats the default on performance-per-Watt.
-func ExampleRun() {
+// ExampleProgram_RunCtx stages gemm once, compiles and simulates two
+// configurations through the Program, and prints whether EATSS's choice
+// beats the default on performance-per-Watt.
+func ExampleProgram_RunCtx() {
 	k, _ := eatss.Kernel("gemm")
 	g := eatss.GA100()
-	sel, _ := eatss.SelectTiles(k, g, eatss.DefaultOptions())
-	ours, _ := eatss.Run(k, g, sel.Tiles, eatss.RunConfig{UseShared: true, Precision: eatss.FP64})
-	def, _ := eatss.Run(k, g, eatss.DefaultTiles(k), eatss.RunConfig{UseShared: true, Precision: eatss.FP64})
+	ctx := context.Background()
+	prog, _ := eatss.Analyze(k, nil)
+	sel, _ := prog.SelectTiles(g, eatss.DefaultOptions())
+	cfg := eatss.RunConfig{UseShared: true, Precision: eatss.FP64}
+	ours, _, _ := prog.RunCtx(ctx, g, sel.Tiles, cfg)
+	def, _, _ := prog.RunCtx(ctx, g, eatss.DefaultTiles(k), cfg)
 	fmt.Println(ours.PPW > def.PPW)
 	// Output: true
 }

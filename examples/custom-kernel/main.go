@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -49,8 +50,14 @@ func main() {
 		fmt.Printf("schedule %s: order %v (changed=%v)\n", plan.Nest, plan.Order, plan.Changed)
 	}
 
-	// 3. EATSS tile selection with the paper's full protocol.
-	best, err := eatss.SelectBest(k, g, eatss.FP64, nil)
+	// 3. EATSS tile selection with the paper's full protocol, on the
+	//    staged (analyzed once) scheduled kernel.
+	prog, err := eatss.Analyze(k, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
+	ctx := context.Background()
+	best, err := prog.SelectBestEval(ctx, g, eatss.FP64, eatss.EvalSimulate)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -59,7 +66,7 @@ func main() {
 		sel.SharedFrac, sel.Selection.Tiles, best.SolverCalls)
 
 	// 4. Compare against the PPCG default.
-	def, err := eatss.Run(k, g, eatss.DefaultTiles(k), eatss.RunConfig{UseShared: true, Precision: eatss.FP64})
+	def, _, err := prog.RunCtx(ctx, g, eatss.DefaultTiles(k), eatss.RunConfig{UseShared: true, Precision: eatss.FP64})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -69,7 +76,7 @@ func main() {
 
 	// 5. Stack register micro-tiles on the EATSS configuration.
 	for _, r := range []int64{2, 4} {
-		res, err := eatss.Run(k, g, sel.Selection.Tiles, eatss.RunConfig{
+		res, _, err := prog.RunCtx(ctx, g, sel.Selection.Tiles, eatss.RunConfig{
 			UseShared: sel.SharedFrac > 0, Precision: eatss.FP64, RegTile: r,
 		})
 		if err != nil {

@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -24,14 +25,21 @@ func main() {
 	g := eatss.GA100()
 
 	fmt.Println("--- Fig. 1: gemm power vs problem size (GA100) ---")
+	ctx := context.Background()
 	k, err := eatss.Kernel("gemm")
+	if err != nil {
+		log.Fatal(err)
+	}
+	// The reuse analysis is size-independent, so one staged Program
+	// serves every problem size through RunConfig.Params.
+	prog, err := eatss.Analyze(k, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
 	idle := g.ConstantWatts + g.StaticWatts
 	fmt.Printf("%8s %12s %14s %12s\n", "N=M=K", "total (W)", "dynamic (W)", "GFLOP/s")
 	for _, n := range []int64{1000, 2000, 3000, 4000, 5000, 6000} {
-		res, err := eatss.Run(k, g, eatss.DefaultTiles(k), eatss.RunConfig{
+		res, _, err := prog.RunCtx(ctx, g, eatss.DefaultTiles(k), eatss.RunConfig{
 			Params:    map[string]int64{"NI": n, "NJ": n, "NK": n},
 			UseShared: true, Precision: eatss.FP64,
 		})
@@ -46,9 +54,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	prog2, err := eatss.Analyze(k2, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
 	cfg := eatss.RunConfig{UseShared: true, Precision: eatss.FP64}
-	pts, _ := eatss.ExploreSpace(k2, g, eatss.PaperSpace(k2), cfg)
-	def, err := eatss.Run(k2, g, eatss.DefaultTiles(k2), cfg)
+	pts, _ := prog2.ExploreSpaceOpt(ctx, g, eatss.PaperSpace(k2), cfg, eatss.SweepOptions{})
+	def, _, err := prog2.RunCtx(ctx, g, eatss.DefaultTiles(k2), cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -50,25 +51,20 @@ func (c *tileCache) lookup(r request) (*eatss.Selection, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Stage the analysis once per miss; the warp-fraction fallback loop
+	// Stage the analysis once per miss; the warp-fraction fallback
 	// re-solves against the same artifact instead of re-analyzing.
 	prog, err := eatss.Analyze(k, r.params)
 	if err != nil {
 		return nil, err
 	}
-	// Problem-size-aware selection with warp-fraction fallback.
-	var lastErr error
-	for _, wf := range eatss.WarpFractions {
-		opts := eatss.Options{SplitFactor: 0.5, WarpFraction: wf,
-			Precision: eatss.FP64, ProblemSizeAware: true}
-		sel, err := prog.SelectTiles(r.gpu, opts)
-		if err == nil {
-			c.entries[key(r)] = sel
-			return sel, nil
-		}
-		lastErr = err
+	// Problem-size-aware selection at a 50% shared split, with
+	// warp-fraction fallback.
+	sel, err := prog.SelectSplit(context.Background(), r.gpu, 0.5, eatss.FP64)
+	if err != nil {
+		return nil, err
 	}
-	return nil, lastErr
+	c.entries[key(r)] = sel
+	return sel, nil
 }
 
 func main() {

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -41,13 +42,14 @@ func main() {
 	fmt.Print(sel.String())
 
 	// 4. Compile (PPCG-style mapping) and simulate the configuration.
-	res, err := prog.Run(g, sel.Tiles, eatss.RunConfig{UseShared: true, Precision: eatss.FP64})
+	ctx := context.Background()
+	res, _, err := prog.RunCtx(ctx, g, sel.Tiles, eatss.RunConfig{UseShared: true, Precision: eatss.FP64})
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// 5. Compare against the default 32^d tiling.
-	def, err := prog.Run(g, prog.DefaultTiles(), eatss.RunConfig{UseShared: true, Precision: eatss.FP64})
+	def, _, err := prog.RunCtx(ctx, g, eatss.DefaultTiles(k), eatss.RunConfig{UseShared: true, Precision: eatss.FP64})
 	if err != nil {
 		log.Fatal(err)
 	}

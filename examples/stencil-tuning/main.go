@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -19,9 +20,16 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	g := eatss.GA100()
 	for _, name := range eatss.NonPolybenchKernels() {
 		k, err := eatss.Kernel(name)
+		if err != nil {
+			log.Fatal(err)
+		}
+		// Stage the kernel once; all eight solves and every evaluation
+		// below reuse the analysis.
+		prog, err := eatss.Analyze(k, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -41,13 +49,13 @@ func main() {
 					Precision:        eatss.FP64,
 					ProblemSizeAware: true,
 				}
-				sel, err := eatss.SelectTiles(k, g, opts)
+				sel, err := prog.SelectTiles(g, opts)
 				if err != nil {
 					fmt.Printf("  wf=%.3f split=%.2f: infeasible (tiles must be multiples of %.0f)\n",
 						wf, split, wf*32)
 					continue
 				}
-				res, err := eatss.Run(k, g, sel.Tiles, eatss.RunConfig{
+				res, _, err := prog.RunCtx(ctx, g, sel.Tiles, eatss.RunConfig{
 					UseShared: split > 0, Precision: eatss.FP64,
 				})
 				if err != nil {
@@ -66,7 +74,7 @@ func main() {
 			continue
 		}
 
-		def, err := eatss.Run(k, g, eatss.DefaultTiles(k), eatss.RunConfig{
+		def, _, err := prog.RunCtx(ctx, g, eatss.DefaultTiles(k), eatss.RunConfig{
 			UseShared: best.split > 0, Precision: eatss.FP64,
 		})
 		if err != nil {

@@ -113,7 +113,7 @@ func TestCatalogPruneCertificatesReplay(t *testing.T) {
 				t.Fatal(err)
 			}
 			region := prog.FeasibleRegion(g, eatss.RunConfig{Precision: eatss.FP64})
-			for _, tiles := range prog.Space([]int64{8, 32, 128}) {
+			for _, tiles := range eatss.Space(k, []int64{8, 32, 128}) {
 				cert := region.Check(tiles)
 				if cert == nil {
 					continue
@@ -137,14 +137,10 @@ func TestCatalogPruneCertificatesReplay(t *testing.T) {
 func TestSolverSelectionsNeverPruned(t *testing.T) {
 	for _, g := range []*eatss.GPU{eatss.GA100(), eatss.Xavier()} {
 		for _, name := range eatss.Kernels() {
-			k := eatss.MustKernel(name)
-			best, err := eatss.SelectBest(k, g, eatss.FP64, nil)
+			prog := stage(t, eatss.MustKernel(name), nil)
+			best, err := prog.SelectBestEval(context.Background(), g, eatss.FP64, eatss.EvalSimulate)
 			if err != nil {
 				continue // nothing selected, nothing to protect
-			}
-			prog, aerr := eatss.Analyze(k, nil)
-			if aerr != nil {
-				t.Fatal(aerr)
 			}
 			region := prog.FeasibleRegion(g, eatss.RunConfig{Precision: eatss.FP64})
 			for _, c := range best.Candidates {

@@ -22,17 +22,14 @@ import (
 	"math/rand"
 	"sort"
 
-	"repro/internal/arch"
+	eatss "repro"
 
 	"repro/internal/affine"
-	"repro/internal/analysis"
-	"repro/internal/feas"
+	"repro/internal/arch"
 	"repro/internal/gpusim"
 	"repro/internal/ppcg"
 	"repro/internal/sweep"
 	"repro/internal/symbolic"
-
-	"repro/internal/codegen"
 )
 
 // OpenMPPenalty is the throughput factor of Clang OpenMP offload relative
@@ -67,9 +64,9 @@ type Config struct {
 	// Evaluator picks the backend that scores configurations: the full
 	// simulator (EvalSimulate, the default) or the closed-form symbolic
 	// plan with simulator fallback on residual configurations
-	// (EvalSymbolic / EvalAuto). The backends are parity-tested, so the
-	// tuner's decision sequence is identical either way; symbolic just
-	// makes each evaluation far cheaper.
+	// (EvalSymbolic). The backends are parity-tested, so the tuner's
+	// decision sequence is identical either way; symbolic just makes
+	// each evaluation far cheaper.
 	Evaluator symbolic.Evaluator
 }
 
@@ -94,7 +91,29 @@ type Outcome struct {
 	TuningTimeSec float64
 }
 
-// Tune searches the given tile space for the kernel on g.
+// evaluator returns the tuners' scoring function: one evaluation of a
+// configuration through prog.RunCtx on cfg's backend, with the OpenMP
+// offload quality model applied (the offload backend achieves a fraction
+// of the CUDA throughput; energy scales with the longer runtime). A
+// configuration that fails to map is rejected.
+func evaluator(prog *eatss.Program, g *arch.GPU, cfg Config) func(context.Context, map[string]int64) (Observation, bool) {
+	rc := eatss.RunConfig{UseShared: cfg.UseShared, Precision: cfg.Precision, Evaluator: cfg.Evaluator}
+	return func(ctx context.Context, tiles map[string]int64) (Observation, bool) {
+		res, _, err := prog.RunCtx(ctx, g, tiles, rc)
+		if err != nil {
+			return Observation{}, false
+		}
+		res.GFLOPS *= OpenMPPenalty
+		res.TimeSec /= OpenMPPenalty
+		res.EnergyJ = res.AvgPowerW * res.TimeSec
+		res.PPW = res.GFLOPS / res.AvgPowerW
+		return Observation{Tiles: tiles, Result: res, Objective: res.GFLOPS}, true
+	}
+}
+
+// Tune searches the given tile space for the kernel on g. The kernel is
+// staged once with eatss.Analyze and every configuration is evaluated
+// through the Program; a kernel Analyze rejects yields an empty Outcome.
 func Tune(k *affine.Kernel, g *arch.GPU, space []map[string]int64, cfg Config) Outcome {
 	if cfg.Budget <= 0 {
 		cfg.Budget = 40
@@ -105,35 +124,19 @@ func Tune(k *affine.Kernel, g *arch.GPU, space []map[string]int64, cfg Config) O
 	if cfg.Bootstrap > cfg.Budget {
 		cfg.Bootstrap = cfg.Budget
 	}
+	prog, err := eatss.Analyze(k, nil)
+	if err != nil {
+		return Outcome{}
+	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	names := ppcg.LoopNames(k)
-
-	plan := planFor(k, nil, g, cfg)
-	evaluate := func(tiles map[string]int64) (Observation, bool) {
-		res, ok := evalPoint(plan, tiles, func() (gpusim.Result, bool) {
-			mk, err := codegen.MapKernel(k, nil, tiles, g, codegen.Options{
-				UseShared: cfg.UseShared,
-				Precision: cfg.Precision,
-			})
-			if err != nil {
-				return gpusim.Result{}, false
-			}
-			return gpusim.Simulate(mk, g), true
-		})
-		if !ok {
-			return Observation{}, false
-		}
-		// The OpenMP offload backend achieves a fraction of the CUDA
-		// throughput; energy scales with the longer runtime.
-		penalize(&res)
-		return Observation{Tiles: tiles, Result: res, Objective: res.GFLOPS}, true
-	}
+	evaluate := evaluator(prog, g, cfg)
 
 	var out Outcome
 	tried := make(map[int]bool)
 	pick := func(i int) {
 		tried[i] = true
-		obs, ok := evaluate(space[i])
+		obs, ok := evaluate(context.Background(), space[i])
 		out.TuningTimeSec += EvalCostSec
 		if !ok {
 			return
@@ -157,7 +160,7 @@ func Tune(k *affine.Kernel, g *arch.GPU, space []map[string]int64, cfg Config) O
 	// excluded (the surrogate rounds still roam the whole space), and
 	// the reordering is a pure function of (kernel, GPU, space, seed),
 	// so determinism per seed is preserved.
-	region := feas.Derive(analysis.Analyze(k, nil), g, feas.SweepConfig(cfg.Precision))
+	region := prog.FeasibleRegion(g, eatss.RunConfig{Precision: cfg.Precision})
 	feasFirst := make([]int, 0, len(perm))
 	var rest []int
 	for _, i := range perm {
@@ -177,8 +180,8 @@ func Tune(k *affine.Kernel, g *arch.GPU, space []map[string]int64, cfg Config) O
 		ok  bool
 	}
 	bootOut, bootDone, _ := sweep.Map(context.Background(), cfg.Workers, boot,
-		func(_ context.Context, _ int, i int) bootObs {
-			o, ok := evaluate(space[i])
+		func(wctx context.Context, _ int, i int) bootObs {
+			o, ok := evaluate(wctx, space[i])
 			return bootObs{obs: o, ok: ok}
 		})
 	for j, i := range boot {

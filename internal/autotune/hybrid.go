@@ -6,13 +6,10 @@ import (
 	"math"
 	"sort"
 
+	eatss "repro"
+
 	"repro/internal/affine"
-	"repro/internal/analysis"
 	"repro/internal/arch"
-	"repro/internal/codegen"
-	"repro/internal/core"
-	"repro/internal/feas"
-	"repro/internal/gpusim"
 	"repro/internal/sweep"
 )
 
@@ -23,6 +20,8 @@ import (
 // model-guided warm starts — and spends the remaining budget refining
 // around them. Compared to the cold-started Tune, the hybrid reaches a
 // given quality with a fraction of the evaluations (see the bench study).
+// Like Tune, it stages the kernel once with eatss.Analyze, and a kernel
+// Analyze rejects yields an empty Outcome.
 func HybridTune(k *affine.Kernel, g *arch.GPU, space []map[string]int64, cfg Config) Outcome {
 	if cfg.Budget <= 0 {
 		cfg.Budget = 40
@@ -30,35 +29,23 @@ func HybridTune(k *affine.Kernel, g *arch.GPU, space []map[string]int64, cfg Con
 
 	// Stage the analysis once; every solver call and every evaluation
 	// below consumes the same artifact.
-	prog := analysis.Analyze(k, nil)
+	prog, err := eatss.Analyze(k, nil)
+	if err != nil {
+		return Outcome{}
+	}
 
-	// EATSS seeds: one configuration per shared split, with warp-fraction
-	// fallback for high-dimensional kernels. The three splits' solves
-	// are independent, so they run on the worker pool; folding in split
+	// EATSS seeds: one configuration per shared split, the one
+	// SelectBestEval generates (warp-fraction fallback for
+	// high-dimensional kernels). The three splits' solves are
+	// independent, so they run on the worker pool; folding in split
 	// order keeps the seed list deterministic.
-	seedOut, seedDone, _ := sweep.Map(context.Background(), cfg.Workers, core.SharedSplits,
+	seedOut, seedDone, _ := sweep.Map(context.Background(), cfg.Workers, eatss.SharedSplits,
 		func(wctx context.Context, _ int, split float64) map[string]int64 {
-			for _, wf := range core.WarpFractions {
-				// The static region decides emptiness without the solver:
-				// an Empty certificate proves this (split, warp-fraction)
-				// sibling UNSAT, so the solver call is skipped outright;
-				// otherwise the solve lowers the same memoized region.
-				if feas.Cached(prog, g, feas.ModelConfig(split, wf, cfg.Precision)).Empty != nil {
-					continue
-				}
-				opts := core.Options{
-					SplitFactor:      split,
-					WarpFraction:     wf,
-					Precision:        cfg.Precision,
-					ProblemSizeAware: true,
-				}
-				sel, err := core.SelectTilesAnalyzed(wctx, prog, g, opts)
-				if err != nil {
-					continue
-				}
-				return sel.Tiles
+			sel, err := prog.SelectSplit(wctx, g, split, cfg.Precision)
+			if err != nil {
+				return nil
 			}
-			return nil
+			return sel.Tiles
 		})
 	var seeds []map[string]int64
 	for i, tiles := range seedOut {
@@ -68,25 +55,7 @@ func HybridTune(k *affine.Kernel, g *arch.GPU, space []map[string]int64, cfg Con
 	}
 
 	var out Outcome
-	plan := planFor(k, prog, g, cfg)
-	evaluateOne := func(tiles map[string]int64) (Observation, bool) {
-		res, ok := evalPoint(plan, tiles, func() (gpusim.Result, bool) {
-			analysis.CountReuseHits(len(prog.Nests))
-			mk, err := codegen.MapKernelReuse(context.Background(), k, prog.NestReuses(), nil, tiles, g, codegen.Options{
-				UseShared: cfg.UseShared,
-				Precision: cfg.Precision,
-			})
-			if err != nil {
-				return gpusim.Result{}, false
-			}
-			return gpusim.Simulate(mk, g), true
-		})
-		if !ok {
-			return Observation{}, false
-		}
-		penalize(&res)
-		return Observation{Tiles: tiles, Result: res, Objective: res.GFLOPS}, true
-	}
+	evaluateOne := evaluator(prog, g, cfg)
 	record := func(obs Observation, ok bool) {
 		if !ok {
 			return
@@ -96,7 +65,7 @@ func HybridTune(k *affine.Kernel, g *arch.GPU, space []map[string]int64, cfg Con
 			out.Best = obs
 		}
 	}
-	evaluate := func(tiles map[string]int64) { record(evaluateOne(tiles)) }
+	evaluate := func(tiles map[string]int64) { record(evaluateOne(context.Background(), tiles)) }
 
 	// Seed evaluations cost solver milliseconds, not compile-run cycles;
 	// charge them at the EATSS rate (negligible next to EvalCostSec).
@@ -106,8 +75,8 @@ func HybridTune(k *affine.Kernel, g *arch.GPU, space []map[string]int64, cfg Con
 		ok  bool
 	}
 	evalOut, evalDone, _ := sweep.Map(context.Background(), cfg.Workers, seeds,
-		func(_ context.Context, _ int, tiles map[string]int64) seedObs {
-			o, ok := evaluateOne(tiles)
+		func(wctx context.Context, _ int, tiles map[string]int64) seedObs {
+			o, ok := evaluateOne(wctx, tiles)
 			return seedObs{obs: o, ok: ok}
 		})
 	for i := range evalOut {

@@ -1,11 +1,12 @@
 package bench
 
 import (
+	"context"
+
 	eatss "repro"
 
 	"repro/internal/affine"
 	"repro/internal/arch"
-	"repro/internal/core"
 )
 
 // This file implements the ablation studies DESIGN.md calls out: each
@@ -39,9 +40,11 @@ func (a *AblationResult) Render() string {
 	return t.String()
 }
 
-func ablationRun(g *arch.GPU, kernel, variant string, tiles map[string]int64, useShared bool, rows *[]AblationRow) {
-	k := affine.MustLookup(kernel)
-	res, err := eatss.Run(k, g, tiles, eatss.RunConfig{
+// ablationRun evaluates tiles on prog's kernel under the bench dataset
+// for g (ParamsFor), appending the outcome when the tiles map.
+func ablationRun(prog *eatss.Program, g *arch.GPU, variant string, tiles map[string]int64, useShared bool, rows *[]AblationRow) {
+	kernel := prog.Kernel().Name
+	res, _, err := prog.RunCtx(context.Background(), g, tiles, eatss.RunConfig{
 		Params: ParamsFor(kernel, g), UseShared: useShared, Precision: eatss.FP64,
 	})
 	if err != nil {
@@ -63,30 +66,31 @@ func AblateObjective(g *arch.GPU, kernels []string) *AblationResult {
 	out := &AblationResult{Name: "objective function (Sec. IV-K)", GPU: g.Name}
 	for _, name := range kernels {
 		k := affine.MustLookup(name)
-		full, err := core.SelectTiles(k, g, core.DefaultOptions())
+		prog := mustAnalyze(k, nil)
+		full, err := prog.SelectTiles(g, eatss.DefaultOptions())
 		if err != nil {
 			continue
 		}
-		ablationRun(g, name, "full objective", full.Tiles, true, &out.Rows)
+		ablationRun(prog, g, "full objective", full.Tiles, true, &out.Rows)
 
 		// Parallelism-only: solve with zeroed spatial weights by
 		// maximizing only the block-size product. Approximated by
 		// re-solving on a restricted formulation: equalize tiles over
 		// the parallel loops of the full solution.
 		par := parallelOnlyTiles(k, g, full)
-		ablationRun(g, name, "parallelism-only", par, true, &out.Rows)
+		ablationRun(prog, g, "parallelism-only", par, true, &out.Rows)
 
 		// Locality-only: maximize the serial/spatial tiles and leave
 		// the parallel product at its minimum warp-aligned value.
 		loc := localityOnlyTiles(k, g, full)
-		ablationRun(g, name, "locality-only", loc, true, &out.Rows)
+		ablationRun(prog, g, "locality-only", loc, true, &out.Rows)
 	}
 	return out
 }
 
 // parallelOnlyTiles redistributes the full solution's thread budget
 // equally over parallel loops, ignoring CMA preferences.
-func parallelOnlyTiles(k *affine.Kernel, g *arch.GPU, full *core.Selection) map[string]int64 {
+func parallelOnlyTiles(k *affine.Kernel, g *arch.GPU, full *eatss.Selection) map[string]int64 {
 	tiles := make(map[string]int64, len(full.Tiles))
 	for name, v := range full.Tiles {
 		tiles[name] = v
@@ -115,7 +119,7 @@ func parallelOnlyTiles(k *affine.Kernel, g *arch.GPU, full *core.Selection) map[
 
 // localityOnlyTiles shrinks parallel tiles to one warp fraction and grows
 // the serial tiles instead.
-func localityOnlyTiles(k *affine.Kernel, g *arch.GPU, full *core.Selection) map[string]int64 {
+func localityOnlyTiles(k *affine.Kernel, g *arch.GPU, full *eatss.Selection) map[string]int64 {
 	tiles := make(map[string]int64, len(full.Tiles))
 	parallel := map[string]bool{}
 	for _, nm := range full.Nests {
@@ -141,13 +145,13 @@ func AblateMemorySplit(g *arch.GPU, kernels []string) *AblationResult {
 	}
 	out := &AblationResult{Name: "non-CMA refs to shared memory (Sec. IV-E)", GPU: g.Name}
 	for _, name := range kernels {
-		k := affine.MustLookup(name)
-		sel, err := core.SelectTiles(k, g, core.DefaultOptions())
+		prog := mustAnalyze(affine.MustLookup(name), nil)
+		sel, err := prog.SelectTiles(g, eatss.DefaultOptions())
 		if err != nil {
 			continue
 		}
-		ablationRun(g, name, "shared staging (paper)", sel.Tiles, true, &out.Rows)
-		ablationRun(g, name, "everything in L1", sel.Tiles, false, &out.Rows)
+		ablationRun(prog, g, "shared staging (paper)", sel.Tiles, true, &out.Rows)
+		ablationRun(prog, g, "everything in L1", sel.Tiles, false, &out.Rows)
 	}
 	return out
 }
@@ -158,18 +162,18 @@ func AblateMemorySplit(g *arch.GPU, kernels []string) *AblationResult {
 func AblateWarpFraction(g *arch.GPU) *AblationResult {
 	out := &AblationResult{Name: "warp alignment factor (Sec. IV-B)", GPU: g.Name}
 	for _, name := range affine.NonPolybenchNames() {
-		k := affine.MustLookup(name)
+		prog := mustAnalyze(affine.MustLookup(name), nil)
 		for _, wf := range []float64{1.0, 0.5, 0.25, 0.125} {
-			opts := core.DefaultOptions()
+			opts := eatss.DefaultOptions()
 			opts.WarpFraction = wf
-			sel, err := core.SelectTiles(k, g, opts)
+			sel, err := prog.SelectTiles(g, opts)
 			if err != nil {
 				out.Rows = append(out.Rows, AblationRow{
 					Kernel: name, Variant: wfName(wf), Tiles: "infeasible",
 				})
 				continue
 			}
-			ablationRun(g, name, wfName(wf), sel.Tiles, true, &out.Rows)
+			ablationRun(prog, g, wfName(wf), sel.Tiles, true, &out.Rows)
 		}
 	}
 	return out
@@ -194,17 +198,16 @@ func wfName(wf float64) string {
 func AblateFPFactor(g *arch.GPU) *AblationResult {
 	out := &AblationResult{Name: "FP_factor register scaling (Sec. IV-I)", GPU: g.Name}
 	for _, name := range []string{"gemm", "syr2k", "mttkrp"} {
-		k := affine.MustLookup(name)
+		prog := mustAnalyze(affine.MustLookup(name), nil)
 		for _, prec := range []affine.Precision{affine.FP64, affine.FP32} {
-			opts := core.DefaultOptions()
+			opts := eatss.DefaultOptions()
 			opts.Precision = prec
-			sel, err := core.SelectTiles(k, g, opts)
+			sel, err := prog.SelectTiles(g, opts)
 			if err != nil {
 				continue
 			}
 			// Evaluate both at FP64 to isolate the model's effect.
-			kk := affine.MustLookup(name)
-			res, err := eatss.Run(kk, g, sel.Tiles, eatss.RunConfig{
+			res, _, err := prog.RunCtx(context.Background(), g, sel.Tiles, eatss.RunConfig{
 				Params: ParamsFor(name, g), UseShared: true, Precision: eatss.FP64,
 			})
 			if err != nil {

@@ -1,11 +1,12 @@
 package bench
 
 import (
+	"context"
+
 	eatss "repro"
 
 	"repro/internal/affine"
 	"repro/internal/arch"
-	"repro/internal/core"
 )
 
 // TimeTilingRow is one (kernel, fuse factor) measurement of the
@@ -37,21 +38,21 @@ func TimeTilingStudy(g *arch.GPU, kernels []string, fuses []int64) *TimeTilingRe
 	if fuses == nil {
 		fuses = []int64{2, 4, 8}
 	}
+	ctx := context.Background()
 	out := &TimeTilingResult{GPU: g.Name}
 	for _, name := range kernels {
-		k := affine.MustLookup(name)
+		prog := mustAnalyze(affine.MustLookup(name), ParamsFor(name, g))
 		// EATSS tiles (they are wide enough to host trapezoids).
-		best, err := RunEATSS(name, g, ParamsFor(name, g))
+		best, err := prog.SelectBestEval(ctx, g, eatss.FP64, eatss.EvalSimulate)
 		if err != nil {
 			continue
 		}
 		tiles := best.Chosen.Selection.Tiles
 		cfg := eatss.RunConfig{
-			Params:    ParamsFor(name, g),
 			UseShared: best.Chosen.SharedFrac > 0,
 			Precision: eatss.FP64,
 		}
-		base, err := eatss.Run(k, g, tiles, cfg)
+		base, _, err := prog.RunCtx(ctx, g, tiles, cfg)
 		if err != nil {
 			continue
 		}
@@ -59,7 +60,7 @@ func TimeTilingStudy(g *arch.GPU, kernels []string, fuses []int64) *TimeTilingRe
 			row := TimeTilingRow{Kernel: name, Fuse: fuse}
 			fcfg := cfg
 			fcfg.TimeTileFuse = fuse
-			res, err := eatss.Run(k, g, tiles, fcfg)
+			res, _, err := prog.RunCtx(ctx, g, tiles, fcfg)
 			if err == nil && res.DRAMBytes < base.DRAMBytes {
 				row.Feasible = true
 				row.Speedup = base.TimeSec / res.TimeSec
@@ -126,18 +127,19 @@ func RegTileStudy(g *arch.GPU, kernels []string, rs []int64) *RegTileResult {
 	if rs == nil {
 		rs = []int64{2, 4, 8}
 	}
+	ctx := context.Background()
 	out := &RegTileResult{GPU: g.Name}
 	for _, name := range kernels {
 		k := affine.MustLookup(name)
-		params := ParamsFor(name, g)
+		prog := mustAnalyze(k, ParamsFor(name, g))
 		// Tiles wide enough along both mapped dims to host micro-tiles.
 		tiles := map[string]int64{}
 		for _, ln := range loopNamesOf(k) {
 			tiles[ln] = 64
 		}
 		tiles["k"] = 16
-		cfg := eatss.RunConfig{Params: params, UseShared: true, Precision: eatss.FP64}
-		base, err := eatss.Run(k, g, tiles, cfg)
+		cfg := eatss.RunConfig{UseShared: true, Precision: eatss.FP64}
+		base, _, err := prog.RunCtx(ctx, g, tiles, cfg)
 		if err != nil {
 			continue
 		}
@@ -149,7 +151,7 @@ func RegTileStudy(g *arch.GPU, kernels []string, rs []int64) *RegTileResult {
 			row := RegTileRow{Kernel: name, R: r}
 			rcfg := cfg
 			rcfg.RegTile = r
-			res, err := eatss.Run(k, g, tiles, rcfg)
+			res, _, err := prog.RunCtx(ctx, g, tiles, rcfg)
 			if err == nil {
 				row.Feasible = true
 				row.GFLOPS = res.GFLOPS
@@ -223,29 +225,19 @@ func PrecisionStudy(g *arch.GPU, kernels []string) *AblationResult {
 	if kernels == nil {
 		kernels = []string{"gemm", "2mm", "covariance"}
 	}
+	ctx := context.Background()
 	out := &AblationResult{Name: "precision adaptation (Sec. IV-I)", GPU: g.Name}
 	for _, name := range kernels {
-		k := affine.MustLookup(name)
-		params := ParamsFor(name, g)
-
-		solve := func(prec affine.Precision) (map[string]int64, bool) {
-			for _, wf := range core.WarpFractions {
-				opts := core.Options{SplitFactor: 0.5, WarpFraction: wf,
-					Precision: prec, ProblemSizeAware: true}
-				if sel, err := core.SelectTiles(k.WithParams(params), g, opts); err == nil {
-					return sel.Tiles, true
-				}
-			}
-			return nil, false
-		}
-		t64, ok64 := solve(affine.FP64)
-		t32, ok32 := solve(affine.FP32)
-		if !ok64 || !ok32 {
+		prog := mustAnalyze(affine.MustLookup(name), ParamsFor(name, g))
+		s64, err64 := prog.SelectSplit(ctx, g, 0.5, affine.FP64)
+		s32, err32 := prog.SelectSplit(ctx, g, 0.5, affine.FP32)
+		if err64 != nil || err32 != nil {
 			continue
 		}
+		t64, t32 := s64.Tiles, s32.Tiles
 		run := func(tiles map[string]int64, prec affine.Precision, label string) {
-			res, err := eatss.Run(k, g, tiles, eatss.RunConfig{
-				Params: params, UseShared: true, Precision: prec,
+			res, _, err := prog.RunCtx(ctx, g, tiles, eatss.RunConfig{
+				UseShared: true, Precision: prec,
 			})
 			if err != nil {
 				return

@@ -47,9 +47,12 @@ func Fig1(g *arch.GPU, sizes []int64) *Fig1Result {
 	}
 	rows, done, _ := sweep.Map(context.Background(), Workers, sizes,
 		func(ctx context.Context, _ int, n int64) sized {
-			params := map[string]int64{"NI": n, "NJ": n, "NK": n}
-			res, err := eatss.RunCtx(ctx, k, g, eatss.DefaultTiles(k), eatss.RunConfig{
-				Params: params, UseShared: true, Precision: eatss.FP64,
+			prog, err := eatss.AnalyzeCtx(ctx, k, map[string]int64{"NI": n, "NJ": n, "NK": n})
+			if err != nil {
+				return sized{}
+			}
+			res, _, err := prog.RunCtx(ctx, g, eatss.DefaultTiles(k), eatss.RunConfig{
+				UseShared: true, Precision: eatss.FP64,
 			})
 			return sized{res: res, ok: err == nil}
 		})

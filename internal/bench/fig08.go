@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"context"
+
 	eatss "repro"
 
 	"repro/internal/affine"
@@ -36,37 +38,30 @@ func Fig8(g *arch.GPU, kernels []string, splits []float64) *Fig8Result {
 	if splits == nil {
 		splits = []float64{0.0, 0.5, 0.67, 1.0}
 	}
+	ctx := context.Background()
 	out := &Fig8Result{GPU: g.Name, Splits: splits}
 	for _, name := range kernels {
 		k := affine.MustLookup(name)
-		params := ParamsFor(name, g)
+		prog := mustAnalyze(k, ParamsFor(name, g))
 		for _, split := range splits {
 			row := Fig8Row{Kernel: name, SharedFrac: split}
 			// Default PPCG under the same shared-memory budget.
 			quota := int64(split * float64(g.SharedPerBlock))
 			useShared := split > 0
-			cfg := eatss.RunConfig{Params: params, UseShared: useShared, SharedQuota: quota, Precision: eatss.FP64}
-			def, err := eatss.Run(k, g, eatss.DefaultTiles(k), cfg)
+			cfg := eatss.RunConfig{UseShared: useShared, SharedQuota: quota, Precision: eatss.FP64}
+			def, _, err := prog.RunCtx(ctx, g, eatss.DefaultTiles(k), cfg)
 			if err != nil {
 				out.Rows = append(out.Rows, row)
 				continue
 			}
 			// EATSS configuration for this split (with warp-fraction
 			// fallback for high-dimensional kernels).
-			var sel *eatss.Selection
-			for _, wf := range eatss.WarpFractions {
-				opts := eatss.Options{SplitFactor: split, WarpFraction: wf,
-					Precision: eatss.FP64, ProblemSizeAware: true}
-				if s, err := eatss.SelectTiles(k.WithParams(params), g, opts); err == nil {
-					sel = s
-					break
-				}
-			}
-			if sel == nil {
+			sel, err := prog.SelectSplit(ctx, g, split, eatss.FP64)
+			if err != nil {
 				out.Rows = append(out.Rows, row)
 				continue
 			}
-			res, err := eatss.Run(k, g, sel.Tiles, cfg)
+			res, _, err := prog.RunCtx(ctx, g, sel.Tiles, cfg)
 			if err != nil {
 				out.Rows = append(out.Rows, row)
 				continue

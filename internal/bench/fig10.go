@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"context"
+
 	eatss "repro"
 
 	"repro/internal/affine"
@@ -31,10 +33,11 @@ type Fig10Result struct {
 
 // Fig10 runs the non-Polybench study on g.
 func Fig10(g *arch.GPU) *Fig10Result {
+	ctx := context.Background()
 	out := &Fig10Result{GPU: g.Name}
 	for _, name := range affine.NonPolybenchNames() {
 		k := affine.MustLookup(name)
-		params := ParamsFor(name, g)
+		prog := mustAnalyze(k, ParamsFor(name, g))
 
 		// Explore the EATSS configuration space of Sec. V-D.
 		type cand struct {
@@ -46,12 +49,12 @@ func Fig10(g *arch.GPU) *Fig10Result {
 			for _, wf := range []float64{1.0, 0.5, 0.25, 0.125} {
 				opts := eatss.Options{SplitFactor: split, WarpFraction: wf,
 					Precision: eatss.FP64, ProblemSizeAware: true}
-				sel, err := eatss.SelectTiles(k.WithParams(params), g, opts)
+				sel, err := prog.SelectTiles(g, opts)
 				if err != nil {
 					continue // infeasible (warp multiple too coarse)
 				}
-				res, err := eatss.Run(k, g, sel.Tiles, eatss.RunConfig{
-					Params: params, UseShared: split > 0, Precision: eatss.FP64,
+				res, _, err := prog.RunCtx(ctx, g, sel.Tiles, eatss.RunConfig{
+					UseShared: split > 0, Precision: eatss.FP64,
 				})
 				if err != nil {
 					continue
@@ -70,8 +73,8 @@ func Fig10(g *arch.GPU) *Fig10Result {
 			continue
 		}
 		// Default PPCG with the same shared budget as our best.
-		def, err := eatss.Run(k, g, eatss.DefaultTiles(k), eatss.RunConfig{
-			Params: params, UseShared: best.row.SharedFrac > 0, Precision: eatss.FP64,
+		def, _, err := prog.RunCtx(ctx, g, eatss.DefaultTiles(k), eatss.RunConfig{
+			UseShared: best.row.SharedFrac > 0, Precision: eatss.FP64,
 		})
 		if err != nil {
 			continue

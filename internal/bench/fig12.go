@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"context"
+
 	eatss "repro"
 
 	"repro/internal/affine"
@@ -73,12 +75,15 @@ func Fig13(g *arch.GPU, sizes map[string][]int64) *Fig12Result {
 }
 
 func sizeSweep(title string, g *arch.GPU, kernels []string, sizes []int64) *Fig12Result {
+	ctx := context.Background()
 	out := &Fig12Result{Title: title, GPU: g.Name}
 	for _, name := range kernels {
 		k := affine.MustLookup(name)
+		prog := mustAnalyze(k, ParamsFor(name, g))
 		// One EATSS configuration chosen at the default size, reused
-		// across the sweep (the paper fixes the best tile size).
-		best, err := RunEATSS(name, g, ParamsFor(name, g))
+		// across the sweep (the paper fixes the best tile size): each
+		// size overrides the Program's problem sizes per evaluation.
+		best, err := prog.SelectBestEval(ctx, g, eatss.FP64, eatss.EvalSimulate)
 		if err != nil {
 			continue
 		}
@@ -86,10 +91,10 @@ func sizeSweep(title string, g *arch.GPU, kernels []string, sizes []int64) *Fig1
 		useShared := best.Chosen.SharedFrac > 0
 		for _, n := range sizes {
 			params := sizeParams(k, n)
-			e, err1 := eatss.Run(k, g, tiles, eatss.RunConfig{
+			e, _, err1 := prog.RunCtx(ctx, g, tiles, eatss.RunConfig{
 				Params: params, UseShared: useShared, Precision: eatss.FP64,
 			})
-			d, err2 := eatss.Run(k, g, eatss.DefaultTiles(k), eatss.RunConfig{
+			d, _, err2 := prog.RunCtx(ctx, g, eatss.DefaultTiles(k), eatss.RunConfig{
 				Params: params, UseShared: true, Precision: eatss.FP64,
 			})
 			if err1 != nil || err2 != nil {

@@ -5,9 +5,9 @@ import (
 	"io"
 	"time"
 
-	"repro/internal/affine"
+	eatss "repro"
+
 	"repro/internal/arch"
-	"repro/internal/core"
 )
 
 // Report runs the complete evaluation and writes a Markdown reproduction
@@ -36,7 +36,7 @@ func Report(w io.Writer) (deviations int, err error) {
 	// Worked example: the exact Sec. IV-A configuration (50% split,
 	// warp-alignment 16, FP64) must reproduce the paper's solution.
 	{
-		sel, err := core.SelectTiles(affine.MustLookup("gemm"), ga, core.DefaultOptions())
+		sel, err := eatss.SelectTiles(eatss.MustKernel("gemm"), ga, eatss.DefaultOptions())
 		ok := err == nil && sel.Tiles["i"] == 16 && sel.Tiles["j"] == 384 && sel.Tiles["k"] == 16
 		measured := "solver error"
 		if err == nil {

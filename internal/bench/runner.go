@@ -72,23 +72,24 @@ func Explore(name string, g *arch.GPU, params map[string]int64, useShared bool, 
 	if err != nil {
 		return nil, eatss.Result{}
 	}
-	space := prog.Space(SpaceSizesFor(k.MaxDepth(), paper15))
+	space := eatss.Space(k, SpaceSizesFor(k.MaxDepth(), paper15))
 	pts, _ := prog.ExploreSpaceOpt(context.Background(), g, space, cfg,
 		eatss.SweepOptions{Workers: Workers})
 	for _, pt := range pts {
 		variants = append(variants, Variant{Tiles: cloneTiles(pt.Tiles), Result: pt.Result})
 	}
-	def, _ = prog.Run(g, prog.DefaultTiles(), cfg)
+	def, _, _ = prog.RunCtx(context.Background(), g, eatss.DefaultTiles(k), cfg)
 	return variants, def
 }
 
-// RunDefault evaluates the PPCG default configuration.
-func RunDefault(name string, g *arch.GPU, params map[string]int64, useShared bool) eatss.Result {
-	k := affine.MustLookup(name)
-	res, _ := eatss.Run(k, g, eatss.DefaultTiles(k), eatss.RunConfig{
-		Params: params, UseShared: useShared, Precision: eatss.FP64,
-	})
-	return res
+// mustAnalyze stages a catalog kernel. Catalog kernels always validate,
+// so an error is a broken catalog and panics, like affine.MustLookup.
+func mustAnalyze(k *affine.Kernel, params map[string]int64) *eatss.Program {
+	prog, err := eatss.Analyze(k, params)
+	if err != nil {
+		panic(err)
+	}
+	return prog
 }
 
 // RunEATSS runs the paper's full EATSS protocol (three shared splits,
@@ -99,7 +100,7 @@ func RunEATSS(name string, g *arch.GPU, params map[string]int64) (*eatss.Best, e
 	if err != nil {
 		return nil, err
 	}
-	return prog.SelectBest(g, eatss.FP64)
+	return prog.SelectBestEval(context.Background(), g, eatss.FP64, eatss.EvalSimulate)
 }
 
 // ParamsFor returns the dataset for a kernel on a GPU: EXTRALARGE on the

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"time"
 
 	eatss "repro"
@@ -48,16 +49,8 @@ func SecVG(g *arch.GPU) *SecVGResult {
 
 	for _, name := range affine.Catalog() {
 		k := affine.MustLookup(name)
-		var sel *eatss.Selection
-		for _, wf := range eatss.WarpFractions {
-			opts := eatss.Options{SplitFactor: 0.5, WarpFraction: wf,
-				Precision: eatss.FP64, ProblemSizeAware: true}
-			if s, err := eatss.SelectTiles(k, g, opts); err == nil {
-				sel = s
-				break
-			}
-		}
-		if sel == nil {
+		sel, err := mustAnalyze(k, nil).SelectSplit(context.Background(), g, 0.5, eatss.FP64)
+		if err != nil {
 			continue
 		}
 		d := k.MaxDepth()

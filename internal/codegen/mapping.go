@@ -319,20 +319,15 @@ type MappedKernel struct {
 // (tile sizes are shared across nests by loop name, the way the paper
 // applies one EATSS configuration per kernel).
 func MapKernel(k *affine.Kernel, params map[string]int64, tiles map[string]int64, g *arch.GPU, opts Options) (*MappedKernel, error) {
-	return MapKernelCtx(context.Background(), k, params, tiles, g, opts)
+	return MapKernelReuse(context.Background(), k, nil, params, tiles, g, opts)
 }
 
-// MapKernelCtx is MapKernel with the caller's context threaded through:
-// each nest's mapping runs under a "codegen.map_nest" span recording the
-// grid/block decision, thread coarsening, and staging footprint.
-func MapKernelCtx(ctx context.Context, k *affine.Kernel, params map[string]int64, tiles map[string]int64, g *arch.GPU, opts Options) (*MappedKernel, error) {
-	return MapKernelReuse(ctx, k, nil, params, tiles, g, opts)
-}
-
-// MapKernelReuse is MapKernelCtx with precomputed per-nest reuse
-// analyses (aligned with k.Nests, e.g. analysis.Program.NestReuses) so
-// no per-compile re-derivation happens. A nil slice re-derives every
-// nest, reproducing MapKernelCtx.
+// MapKernelReuse is MapKernel with the caller's context threaded through
+// and precomputed per-nest reuse analyses (aligned with k.Nests, e.g.
+// analysis.Program.NestReuses), so no per-compile re-derivation happens.
+// A nil slice re-derives every nest. Each nest's mapping runs under a
+// "codegen.map_nest" span recording the grid/block decision, thread
+// coarsening, and staging footprint.
 func MapKernelReuse(ctx context.Context, k *affine.Kernel, reuses []*deps.NestReuse, params map[string]int64, tiles map[string]int64, g *arch.GPU, opts Options) (*MappedKernel, error) {
 	if reuses != nil && len(reuses) != len(k.Nests) {
 		return nil, fmt.Errorf("codegen: kernel %s: %d precomputed reuse analyses for %d nests",

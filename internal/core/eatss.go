@@ -70,8 +70,8 @@ type Options struct {
 	// Precision selects FP32/FP64 (Sec. IV-I).
 	Precision affine.Precision
 	// ProblemSizeAware tightens tile upper bounds to min(T_P_B, N)
-	// using the kernel's parameter bindings (Sec. IV-B). On by default
-	// in SelectTiles.
+	// using the kernel's parameter bindings (Sec. IV-B). On in
+	// DefaultOptions and SelectSplit.
 	ProblemSizeAware bool
 	// EnforceThreadBlockLimit adds B_size <= T_P_B. The paper states
 	// this bound (Sec. IV-A) but its worked matmul solution
@@ -170,20 +170,32 @@ func (s *Selection) Model() string {
 	return s.problem.String() + "(maximize " + s.objText + ")\n"
 }
 
-// SelectTiles builds and solves the EATSS formulation for a kernel.
-// It returns an error when the formulation is unsatisfiable (e.g. the warp
-// fraction is too coarse for the kernel's resource envelope — Sec. V-D).
-func SelectTiles(k *affine.Kernel, g *arch.GPU, opts Options) (*Selection, error) {
-	return SelectTilesCtx(context.Background(), k, g, opts)
-}
-
-// SelectTilesCtx is SelectTiles with the caller's context threaded
-// through, so the model-generation and solver-round spans nest under the
-// caller's obs span. It derives the analysis artifact fresh; callers
-// solving the same kernel repeatedly (different Options) should build
-// one analysis.Program and use SelectTilesAnalyzed.
-func SelectTilesCtx(ctx context.Context, k *affine.Kernel, g *arch.GPU, opts Options) (*Selection, error) {
-	return SelectTilesAnalyzed(ctx, analysis.AnalyzeCtx(ctx, k, nil), g, opts)
+// SelectSplit solves one shared-memory split with the warp-fraction
+// fallback of Sec. V-D: the fractions coarsest first until one
+// formulation is satisfiable. A fraction whose feasibility region is
+// statically empty is skipped without the solver; the region is the
+// formulation the solve would lower, so only the solver time changes.
+// staticSkips counts the skipped fractions. When no fraction is
+// satisfiable, err is the last solver error (or a static-emptiness error
+// when every fraction was skipped); a cancelled ctx stops the fallback at
+// the interrupted solve.
+func SelectSplit(ctx context.Context, prog *analysis.Program, g *arch.GPU, split float64, prec affine.Precision) (sel *Selection, staticSkips int, err error) {
+	for _, wf := range WarpFractions {
+		opts := Options{SplitFactor: split, WarpFraction: wf, Precision: prec, ProblemSizeAware: true}
+		if feas.Cached(prog, g, modelConfig(opts)).Empty != nil {
+			staticSkips++
+			continue
+		}
+		sel, err = SelectTilesAnalyzed(ctx, prog, g, opts)
+		if err == nil || ctx.Err() != nil {
+			return sel, staticSkips, err
+		}
+	}
+	if err == nil {
+		err = fmt.Errorf("core: formulation for %s on %s at split %.2f is statically empty at every warp fraction",
+			prog.Kernel.Name, g.Name, split)
+	}
+	return nil, staticSkips, err
 }
 
 // formulation is one generated Sec. IV model, before solving.
@@ -350,14 +362,15 @@ func solveParts(ctx context.Context, name string, parts []smt.Part, k int) ([]sm
 	return models, vals, ok, smt.MergeStats(stats)
 }
 
-// SelectTilesAnalyzed builds and solves the EATSS formulation from a
-// precomputed analysis artifact. The model generation splits into the
+// SelectTilesAnalyzed builds and solves the EATSS formulation for a
+// kernel from its precomputed analysis artifact. It returns an error when
+// the formulation is unsatisfiable (e.g. the warp fraction is too coarse
+// for the kernel's resource envelope — Sec. V-D). The model generation splits into the
 // tile-independent skeleton carried by prog (reuse, classification, H
 // skeletons, extents) and the cheap per-Options instantiation done here
 // (warp-alignment steps, the L1/shared capacity split, precision
 // scaling), so e.g. SelectBest's 3 shared-splits x 3 warp-fractions
-// reuse one analysis instead of nine re-derivations. Results are
-// identical to SelectTilesCtx on the same kernel.
+// reuse one analysis instead of nine re-derivations.
 //
 // A formulation whose tile variables fall into independent groups (no
 // constraint or objective term spans two of them) is solved one group

@@ -1,12 +1,25 @@
 package core
 
 import (
+	"context"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/affine"
+	"repro/internal/analysis"
 	"repro/internal/arch"
 )
+
+// selectTiles stages k's analysis and solves one formulation.
+func selectTiles(k *affine.Kernel, g *arch.GPU, opts Options) (*Selection, error) {
+	return SelectTilesAnalyzed(context.Background(), analysis.Analyze(k, nil), g, opts)
+}
+
+// explain stages k's analysis and explains sel against it.
+func explain(k *affine.Kernel, g *arch.GPU, sel *Selection) ([]ConstraintSlack, string) {
+	return ExplainAnalyzed(analysis.Analyze(k, nil), g, sel)
+}
 
 // TestPaperGemmExample reproduces the worked matmul example of Sec. IV-A:
 // on the GA100 with a 50% L1/shared split, FP64, and warp-alignment factor
@@ -16,7 +29,7 @@ import (
 //
 // has the solution Ti=16, Tj=384, Tk=16 — exactly what the paper reports.
 func TestPaperGemmExample(t *testing.T) {
-	sel, err := SelectTiles(affine.MustLookup("gemm"), arch.GA100(), DefaultOptions())
+	sel, err := selectTiles(affine.MustLookup("gemm"), arch.GA100(), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +45,7 @@ func TestPaperGemmExample(t *testing.T) {
 }
 
 func TestGemmModelStructure(t *testing.T) {
-	sel, err := SelectTiles(affine.MustLookup("gemm"), arch.GA100(), DefaultOptions())
+	sel, err := selectTiles(affine.MustLookup("gemm"), arch.GA100(), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,11 +86,11 @@ func TestGemmModelStructure(t *testing.T) {
 func TestFP32RelaxesCapacity(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Precision = affine.FP32
-	sel32, err := SelectTiles(affine.MustLookup("gemm"), arch.GA100(), opts)
+	sel32, err := selectTiles(affine.MustLookup("gemm"), arch.GA100(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel64, err := SelectTiles(affine.MustLookup("gemm"), arch.GA100(), DefaultOptions())
+	sel64, err := selectTiles(affine.MustLookup("gemm"), arch.GA100(), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,11 +108,11 @@ func TestWarpFractionUnsatThenSat(t *testing.T) {
 	// sizes would need to be multiples of 16").
 	k := affine.MustLookup("conv-2d")
 	opts := DefaultOptions() // warp fraction 0.5 => step 16
-	if _, err := SelectTiles(k, arch.GA100(), opts); err == nil {
+	if _, err := selectTiles(k, arch.GA100(), opts); err == nil {
 		t.Fatal("conv-2d should be UNSAT at warp fraction 0.5")
 	}
 	opts.WarpFraction = 0.125 // step 4
-	sel, err := SelectTiles(k, arch.GA100(), opts)
+	sel, err := selectTiles(k, arch.GA100(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +129,7 @@ func TestSplitFactorOneUsesL2Bound(t *testing.T) {
 	// All of L1+shared goes to shared memory; the cache-mapped volumes
 	// are bounded by the per-SM L2 share instead (Sec. IV-H). On the
 	// Xavier (512KB L2 / 8 SMs) this is a tight bound.
-	sel, err := SelectTiles(affine.MustLookup("gemm"), arch.Xavier(), opts)
+	sel, err := selectTiles(affine.MustLookup("gemm"), arch.Xavier(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +143,7 @@ func TestSplitFactorOneUsesL2Bound(t *testing.T) {
 func TestEnforceThreadBlockLimit(t *testing.T) {
 	opts := DefaultOptions()
 	opts.EnforceThreadBlockLimit = true
-	sel, err := SelectTiles(affine.MustLookup("gemm"), arch.GA100(), opts)
+	sel, err := selectTiles(affine.MustLookup("gemm"), arch.GA100(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +156,7 @@ func TestSecondaryShrinkMinimizesSerialTiles(t *testing.T) {
 	// The serial tile T_k does not appear in the objective; the secondary
 	// pass must shrink it to the domain minimum (16 at warp fraction
 	// 0.5) to cut intra-thread liveness (Sec. IV-G).
-	sel, err := SelectTiles(affine.MustLookup("gemm"), arch.GA100(), DefaultOptions())
+	sel, err := selectTiles(affine.MustLookup("gemm"), arch.GA100(), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +166,7 @@ func TestSecondaryShrinkMinimizesSerialTiles(t *testing.T) {
 }
 
 func TestMultiNestSharedTiles(t *testing.T) {
-	sel, err := SelectTiles(affine.MustLookup("2mm"), arch.GA100(), DefaultOptions())
+	sel, err := selectTiles(affine.MustLookup("2mm"), arch.GA100(), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +182,7 @@ func TestMultiNestSharedTiles(t *testing.T) {
 func TestSingleParallel2DPrefersSerialLoop(t *testing.T) {
 	// mvt: one parallel loop (i); the objective must favor growing the
 	// serial CMA loop j (Sec. IV-K third sub-case).
-	sel, err := SelectTiles(affine.MustLookup("mvt"), arch.GA100(), DefaultOptions())
+	sel, err := selectTiles(affine.MustLookup("mvt"), arch.GA100(), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,36 +192,75 @@ func TestSingleParallel2DPrefersSerialLoop(t *testing.T) {
 }
 
 func TestAllCatalogSolvableWithFallback(t *testing.T) {
-	fractions := []float64{0.5, 0.25, 0.125}
 	for _, gname := range []string{"ga100", "xavier"} {
 		g, _ := arch.ByName(gname)
 		for _, name := range affine.Catalog() {
-			k := affine.MustLookup(name)
-			solved := false
-			for _, wf := range fractions {
-				opts := DefaultOptions()
-				opts.WarpFraction = wf
-				if sel, err := SelectTiles(k, g, opts); err == nil {
-					solved = true
-					if sel.SolverCalls < 2 {
-						t.Errorf("%s/%s: %d solver calls, want >= 2 (iterative scheme)",
-							gname, name, sel.SolverCalls)
-					}
-					if sel.SolveTime <= 0 {
-						t.Errorf("%s/%s: no solve time recorded", gname, name)
-					}
-					break
-				}
+			prog := analysis.Analyze(affine.MustLookup(name), nil)
+			sel, _, err := SelectSplit(context.Background(), prog, g, 0.5, affine.FP64)
+			if err != nil {
+				t.Errorf("%s on %s: unsolvable at every warp fraction: %v", name, gname, err)
+				continue
 			}
-			if !solved {
-				t.Errorf("%s on %s: unsolvable at every warp fraction", name, gname)
+			if sel.SolverCalls < 2 {
+				t.Errorf("%s/%s: %d solver calls, want >= 2 (iterative scheme)",
+					gname, name, sel.SolverCalls)
+			}
+			if sel.SolveTime <= 0 {
+				t.Errorf("%s/%s: no solve time recorded", gname, name)
+			}
+		}
+	}
+}
+
+// TestSelectSplitMatchesSolverFallback pins SelectSplit's static sibling
+// skip against the plain fallback that asks the solver at every warp
+// fraction: on every catalog kernel, GPU and shared split, both pick the
+// same fraction and the same tiles, and every skipped fraction is one
+// the solver rejects.
+func TestSelectSplitMatchesSolverFallback(t *testing.T) {
+	ctx := context.Background()
+	for _, g := range []*arch.GPU{arch.GA100(), arch.Xavier()} {
+		for _, name := range affine.Catalog() {
+			prog := analysis.Analyze(affine.MustLookup(name), nil)
+			for _, split := range SharedSplits {
+				var want *Selection
+				rejected := 0
+				for _, wf := range WarpFractions {
+					opts := Options{SplitFactor: split, WarpFraction: wf, Precision: affine.FP64, ProblemSizeAware: true}
+					if sel, err := SelectTilesAnalyzed(ctx, prog, g, opts); err == nil {
+						want = sel
+						break
+					}
+					rejected++
+				}
+				got, skips, err := SelectSplit(ctx, prog, g, split, affine.FP64)
+				if skips > rejected {
+					t.Errorf("%s/%s split %.2f: %d static skips, but the solver rejected only %d fractions",
+						g.Name, name, split, skips, rejected)
+				}
+				if want == nil {
+					if err == nil {
+						t.Errorf("%s/%s split %.2f: SelectSplit found %v, the solver fallback nothing",
+							g.Name, name, split, got.Tiles)
+					}
+					continue
+				}
+				if err != nil {
+					t.Errorf("%s/%s split %.2f: %v", g.Name, name, split, err)
+					continue
+				}
+				if got.Opts != want.Opts || got.Objective != want.Objective ||
+					got.SolverCalls != want.SolverCalls || !reflect.DeepEqual(got.Tiles, want.Tiles) {
+					t.Errorf("%s/%s split %.2f: SelectSplit %s, solver fallback %s",
+						g.Name, name, split, got, want)
+				}
 			}
 		}
 	}
 }
 
 func TestSelectionString(t *testing.T) {
-	sel, err := SelectTiles(affine.MustLookup("gemm"), arch.GA100(), DefaultOptions())
+	sel, err := selectTiles(affine.MustLookup("gemm"), arch.GA100(), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +280,7 @@ func TestTilesAreWarpAligned(t *testing.T) {
 		opts := DefaultOptions()
 		opts.WarpFraction = wf
 		step := opts.WarpAlignmentFactor(arch.GA100())
-		sel, err := SelectTiles(affine.MustLookup("gemm"), arch.GA100(), opts)
+		sel, err := selectTiles(affine.MustLookup("gemm"), arch.GA100(), opts)
 		if err != nil {
 			t.Fatalf("wf=%.3f: %v", wf, err)
 		}
@@ -243,11 +295,11 @@ func TestTilesAreWarpAligned(t *testing.T) {
 func TestExplainGemmBindingConstraint(t *testing.T) {
 	k := affine.MustLookup("gemm")
 	g := arch.GA100()
-	sel, err := SelectTiles(k, g, DefaultOptions())
+	sel, err := selectTiles(k, g, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	slacks, rendered := Explain(k, g, sel)
+	slacks, rendered := explain(k, g, sel)
 	if len(slacks) == 0 {
 		t.Fatal("no constraints explained")
 	}
@@ -279,11 +331,11 @@ func TestExplainGemmBindingConstraint(t *testing.T) {
 func TestExplainCoversAllNests(t *testing.T) {
 	k := affine.MustLookup("2mm")
 	g := arch.GA100()
-	sel, err := SelectTiles(k, g, DefaultOptions())
+	sel, err := selectTiles(k, g, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	slacks, _ := Explain(k, g, sel)
+	slacks, _ := explain(k, g, sel)
 	nests := map[string]bool{}
 	for _, s := range slacks {
 		nests[s.Nest] = true
@@ -306,14 +358,14 @@ func TestExplainBindingRaisesEveryTile(t *testing.T) {
 	g := arch.GA100()
 	opts := DefaultOptions()
 	opts.SplitFactor = 0
-	sel, err := SelectTiles(k, g, opts)
+	sel, err := selectTiles(k, g, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sel.Tiles["i"] != 16 || sel.Tiles["j"] != 672 || sel.Tiles["k"] != 16 {
 		t.Fatalf("tiles = %v, want i=16 j=672 k=16", sel.Tiles)
 	}
-	slacks, _ := Explain(k, g, sel)
+	slacks, _ := explain(k, g, sel)
 	for _, s := range slacks {
 		if s.Resource != "registers/SM" {
 			continue

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/affine"
 	"repro/internal/analysis"
 	"repro/internal/arch"
 	"repro/internal/feas"
@@ -28,15 +27,6 @@ type ConstraintSlack struct {
 // Slack returns Limit - Used.
 func (c ConstraintSlack) Slack() int64 { return c.Limit - c.Used }
 
-// Explain evaluates every resource constraint of the selection's
-// formulation under its chosen tiles and reports per-constraint usage,
-// flagging the binding ones. The second return value renders it. It
-// derives the analysis artifact fresh; callers that already hold one
-// should use ExplainAnalyzed.
-func Explain(k *affine.Kernel, g *arch.GPU, sel *Selection) ([]ConstraintSlack, string) {
-	return ExplainAnalyzed(analysis.Analyze(k, nil), g, sel)
-}
-
 // resourceNames maps the Sec. IV resource labels to Explain's rows; the
 // block limit is not a resource and gets no row.
 var resourceNames = map[string]string{
@@ -46,9 +36,11 @@ var resourceNames = map[string]string{
 	"l2-share":        "L2 share",
 }
 
-// ExplainAnalyzed is Explain from a precomputed analysis artifact: it
-// evaluates the predicates of the selection's feas.Region (the system
-// the solver decided) at the chosen tiles.
+// ExplainAnalyzed evaluates every resource constraint of the selection's
+// formulation under its chosen tiles and reports per-constraint usage,
+// flagging the binding ones; the second return value renders it. It
+// reads the predicates of the selection's feas.Region (the system the
+// solver decided), memoized on the analysis artifact.
 func ExplainAnalyzed(prog *analysis.Program, g *arch.GPU, sel *Selection) ([]ConstraintSlack, string) {
 	waf := sel.Opts.WarpAlignmentFactor(g)
 	region := feas.Cached(prog, g, modelConfig(sel.Opts))

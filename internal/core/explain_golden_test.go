@@ -20,11 +20,11 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 func TestExplainGoldenGemmGA100(t *testing.T) {
 	k := affine.MustLookup("gemm")
 	g := arch.GA100()
-	sel, err := SelectTiles(k, g, DefaultOptions())
+	sel, err := selectTiles(k, g, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	slacks, rendered := Explain(k, g, sel)
+	slacks, rendered := explain(k, g, sel)
 	if len(slacks) == 0 {
 		t.Fatal("Explain returned no constraints")
 	}

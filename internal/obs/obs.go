@@ -11,7 +11,7 @@
 //
 // The pipeline packages (core, smt, ppcg, codegen, gpusim, cachesim)
 // carry the current span through a context.Context, so one enabled run
-// of SelectTiles/Run produces a single tree: model generation, the
+// of SelectTilesCtx/RunCtx produces a single tree: model generation, the
 // solver's objective-improvement rounds (Sec. IV-L / V-G), compilation,
 // and simulation. cmd/eatss exposes the layer via -trace, -metrics and
 // -summary.

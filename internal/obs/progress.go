@@ -86,7 +86,7 @@ func (p *SweepProgress) Pruned() int64 {
 }
 
 // SetEvaluator records which evaluation backend the sweep runs on
-// ("simulate", "symbolic", "auto") for the /progress view.
+// ("simulate" or "symbolic") for the /progress view.
 func (p *SweepProgress) SetEvaluator(name string) {
 	if p == nil {
 		return

@@ -195,7 +195,7 @@ type progressView struct {
 type sweepView struct {
 	Kernel string `json:"kernel"`
 	// Evaluator is the backend the sweep runs on ("simulate",
-	// "symbolic", "auto"; "" on traces from older producers).
+	// "symbolic"; older producers may write "auto" or "").
 	Evaluator string `json:"evaluator,omitempty"`
 	Total     int64  `json:"total"`
 	Done      int64  `json:"done"`

@@ -1,10 +1,12 @@
 package parser_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"repro/internal/affine"
+	"repro/internal/analysis"
 	"repro/internal/arch"
 	"repro/internal/core"
 	"repro/internal/deps"
@@ -69,7 +71,7 @@ func TestParsedGemmMatchesBuiltin(t *testing.T) {
 		t.Fatal("footprint differs from builtin gemm")
 	}
 	// EATSS must produce the paper's solution from the parsed kernel too.
-	sel, err := core.SelectTiles(parsed, arch.GA100(), core.DefaultOptions())
+	sel, err := core.SelectTilesAnalyzed(context.Background(), analysis.Analyze(parsed, nil), arch.GA100(), core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,6 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/arch"
 	"repro/internal/codegen"
-	"repro/internal/deps"
 	"repro/internal/obs"
 )
 
@@ -39,35 +38,21 @@ func DefaultTiles(k *affine.Kernel) map[string]int64 {
 	return tiles
 }
 
-// Compile maps a kernel with the given tiles — the "pass tile sizes to
-// PPCG to produce CUDA code" step of the paper. A nil tiles map compiles
-// the default configuration. A nil params map uses the kernel defaults.
-func Compile(k *affine.Kernel, params, tiles map[string]int64, g *arch.GPU, opts codegen.Options) (*codegen.MappedKernel, error) {
-	return CompileCtx(context.Background(), k, params, tiles, g, opts)
-}
-
-// CompileCtx is Compile with the caller's context threaded through for
-// observability: the compile span and per-nest mapping spans nest under
-// the caller's span.
-func CompileCtx(ctx context.Context, k *affine.Kernel, params, tiles map[string]int64, g *arch.GPU, opts codegen.Options) (*codegen.MappedKernel, error) {
-	return compile(ctx, k, nil, params, tiles, g, opts)
-}
-
-// CompileAnalyzed compiles from a precomputed analysis.Program: the
-// per-nest reuse analyses come from the artifact instead of per-compile
-// re-derivation, which is what makes sweeping thousands of tile
-// configurations cheap. A nil params map uses the Program's resolved
-// params; a non-nil one overrides the problem sizes (the reuse analysis
-// is parameter-independent, so any params are valid for one artifact).
+// CompileAnalyzed maps a kernel with the given tiles — the "pass tile
+// sizes to PPCG to produce CUDA code" step of the paper — from a
+// precomputed analysis.Program: the per-nest reuse analyses come from the
+// artifact instead of per-compile re-derivation, which is what makes
+// sweeping thousands of tile configurations cheap. A nil tiles map
+// compiles the default configuration. A nil params map uses the
+// Program's resolved params; a non-nil one overrides the problem sizes
+// (the reuse analysis is parameter-independent, so any params are valid
+// for one artifact).
 func CompileAnalyzed(ctx context.Context, prog *analysis.Program, params, tiles map[string]int64, g *arch.GPU, opts codegen.Options) (*codegen.MappedKernel, error) {
 	if params == nil {
 		params = prog.Params
 	}
 	analysis.CountReuseHits(len(prog.Nests))
-	return compile(ctx, prog.Kernel, prog.NestReuses(), params, tiles, g, opts)
-}
-
-func compile(ctx context.Context, k *affine.Kernel, reuses []*deps.NestReuse, params, tiles map[string]int64, g *arch.GPU, opts codegen.Options) (*codegen.MappedKernel, error) {
+	k := prog.Kernel
 	ctx, sp := obs.Start(ctx, "ppcg.compile")
 	defer sp.End()
 	sp.SetStr("kernel", k.Name)
@@ -76,7 +61,7 @@ func compile(ctx context.Context, k *affine.Kernel, reuses []*deps.NestReuse, pa
 		tiles = DefaultTiles(k)
 	}
 	mCompiles.Add(1)
-	mk, err := codegen.MapKernelReuse(ctx, k, reuses, params, tiles, g, opts)
+	mk, err := codegen.MapKernelReuse(ctx, k, prog.NestReuses(), params, tiles, g, opts)
 	if err != nil {
 		mCompileFailures.Add(1)
 		sp.SetStr("error", err.Error())

@@ -1,9 +1,11 @@
 package ppcg
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/affine"
+	"repro/internal/analysis"
 	"repro/internal/arch"
 	"repro/internal/codegen"
 )
@@ -65,7 +67,7 @@ func TestGeometricSizes(t *testing.T) {
 
 func TestCompileDefault(t *testing.T) {
 	k := affine.MustLookup("gemm")
-	mk, err := Compile(k, nil, nil, arch.GA100(),
+	mk, err := CompileAnalyzed(context.Background(), analysis.Analyze(k, nil), nil, nil, arch.GA100(),
 		codegen.Options{UseShared: true, Precision: affine.FP64})
 	if err != nil {
 		t.Fatal(err)

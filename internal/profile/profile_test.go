@@ -1,6 +1,7 @@
 package profile_test
 
 import (
+	"context"
 	"flag"
 	"os"
 	"path/filepath"
@@ -19,7 +20,11 @@ func runProfiled(t *testing.T, kernel string, g *eatss.GPU, tiles map[string]int
 	if tiles == nil {
 		tiles = eatss.DefaultTiles(k)
 	}
-	res, err := eatss.Run(k, g, tiles, eatss.RunConfig{UseShared: useShared})
+	prog, err := eatss.Analyze(k, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, _, err := prog.RunCtx(context.Background(), g, tiles, eatss.RunConfig{UseShared: useShared})
 	if err != nil {
 		t.Fatalf("run %s: %v", kernel, err)
 	}
@@ -113,7 +118,11 @@ func TestGoldenGemmReport(t *testing.T) {
 func TestDiffBestVsDefault(t *testing.T) {
 	g := eatss.GA100()
 	k := eatss.MustKernel("gemm")
-	best, err := eatss.SelectBest(k, g, eatss.FP64, nil)
+	prog, err := eatss.Analyze(k, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	best, err := prog.SelectBestEval(context.Background(), g, eatss.FP64, eatss.EvalSimulate)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +165,8 @@ func TestSurfaceExport(t *testing.T) {
 	g := eatss.GA100()
 	k := eatss.MustKernel("gemm")
 	space := eatss.Space(k, []int64{16, 32})
-	pts, stats := eatss.ExploreSpace(k, g, space, eatss.RunConfig{UseShared: true})
+	pts, stats := eatss.ExploreSpaceOpt(context.Background(), k, g, space,
+		eatss.RunConfig{UseShared: true}, eatss.SweepOptions{})
 	if stats.Evaluated == 0 {
 		t.Fatal("no points evaluated")
 	}

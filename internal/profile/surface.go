@@ -9,7 +9,7 @@ import (
 	"strconv"
 )
 
-// SurfacePoint is one evaluated tile configuration of an ExploreSpace
+// SurfacePoint is one evaluated tile configuration of an ExploreSpaceOpt
 // sweep: the coordinates plus the objective values at that point.
 type SurfacePoint struct {
 	Tiles   map[string]int64 `json:"tiles"`

@@ -1,9 +1,11 @@
 package sched
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/affine"
+	"repro/internal/analysis"
 	"repro/internal/arch"
 	"repro/internal/core"
 	"repro/internal/deps"
@@ -43,7 +45,7 @@ func TestScheduleNormalizesPermutedGemm(t *testing.T) {
 	}
 	// After scheduling, EATSS must find the paper's solution on the
 	// formerly-permuted kernel.
-	sel, err := core.SelectTiles(k, arch.GA100(), core.DefaultOptions())
+	sel, err := core.SelectTilesAnalyzed(context.Background(), analysis.Analyze(k, nil), arch.GA100(), core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

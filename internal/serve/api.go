@@ -62,9 +62,10 @@ type Request struct {
 	FP32 bool `json:"fp32,omitempty"`
 
 	// Evaluator picks the evaluation backend for best/simulate:
-	// "simulate" (default), "symbolic", or "auto" (closed-form with
-	// simulator fallback on residual configurations). Invalid values are
-	// rejected with 400.
+	// "simulate" (default) or "symbolic" (closed-form with simulator
+	// fallback on residual configurations); "auto" is accepted as a name
+	// for "symbolic", and the response echoes "symbolic". Invalid values
+	// are rejected with 400.
 	Evaluator string `json:"evaluator,omitempty"`
 
 	// Compile/simulate configuration. Empty Tiles means "solve first,
@@ -421,7 +422,7 @@ func (s *Server) do(ctx context.Context, req *Request) *Response {
 				return nil
 			}
 			resp.Evaluator = eval.String()
-			res, info, err := prog.RunEvalCtx(ctx, g, tiles, cfg)
+			res, info, err := prog.RunCtx(ctx, g, tiles, cfg)
 			if err != nil {
 				return err
 			}

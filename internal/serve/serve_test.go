@@ -594,8 +594,10 @@ func TestEvaluatorBackendParity(t *testing.T) {
 	}
 	sim := run("")
 	sym := run("symbolic")
-	if sim.Evaluator != "simulate" || sym.Evaluator != "symbolic" {
-		t.Fatalf("evaluator echo = %q / %q, want simulate / symbolic", sim.Evaluator, sym.Evaluator)
+	auto := run("auto") // a name for the symbolic backend
+	if sim.Evaluator != "simulate" || sym.Evaluator != "symbolic" || auto.Evaluator != "symbolic" {
+		t.Fatalf("evaluator echo = %q / %q / %q, want simulate / symbolic / symbolic",
+			sim.Evaluator, sym.Evaluator, auto.Evaluator)
 	}
 	if sim.Result.EnergyJ != sym.Result.EnergyJ || sim.Result.L2Sectors != sym.Result.L2Sectors {
 		t.Fatalf("backends diverge: %+v vs %+v", sim.Result, sym.Result)

@@ -1,5 +1,5 @@
 // Package sweep is the bounded parallel-evaluation engine behind the
-// exploration studies: ExploreSpace's tile-space sweeps, the bench
+// exploration studies: ExploreSpaceOpt's tile-space sweeps, the bench
 // runner's per-figure variant sweeps, and autotune's bootstrap phase all
 // fan their independent evaluations out through Map.
 //

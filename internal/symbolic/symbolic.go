@@ -51,38 +51,30 @@ const (
 	// EvalSymbolic evaluates through the closed-form plan, falling back
 	// to simulation only for residual points (counted and reported).
 	EvalSymbolic
-	// EvalAuto lets the library choose. Currently it chooses the
-	// closed-form plan whenever one derives for the configuration and
-	// simulation otherwise — the same behaviour as EvalSymbolic, kept
-	// distinct so callers can express "fastest exact backend" without
-	// pinning the choice.
-	EvalAuto
 )
 
-// String returns the parseable name: simulate, symbolic, or auto.
+// String returns the parseable name: simulate or symbolic.
 func (e Evaluator) String() string {
 	switch e {
 	case EvalSimulate:
 		return "simulate"
 	case EvalSymbolic:
 		return "symbolic"
-	case EvalAuto:
-		return "auto"
 	}
 	return fmt.Sprintf("evaluator(%d)", int(e))
 }
 
 // ParseEvaluator parses an evaluator name as accepted on CLI flags and
 // in eatssd requests. The empty string means EvalSimulate (the default
-// backend), so absent fields keep their pre-seam behaviour.
+// backend), so absent fields keep their pre-seam behaviour. "auto" asks
+// for the fastest exact backend, which is the closed-form plan with
+// simulator fallback: it parses as EvalSymbolic.
 func ParseEvaluator(s string) (Evaluator, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
 	case "", "simulate":
 		return EvalSimulate, nil
-	case "symbolic":
+	case "symbolic", "auto":
 		return EvalSymbolic, nil
-	case "auto":
-		return EvalAuto, nil
 	}
 	return EvalSimulate, fmt.Errorf("symbolic: unknown evaluator %q (want simulate, symbolic or auto)", s)
 }

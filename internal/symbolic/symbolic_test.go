@@ -25,7 +25,7 @@ func TestParseEvaluator(t *testing.T) {
 		{"", symbolic.EvalSimulate, true},
 		{"simulate", symbolic.EvalSimulate, true},
 		{"Symbolic", symbolic.EvalSymbolic, true},
-		{" auto ", symbolic.EvalAuto, true},
+		{" auto ", symbolic.EvalSymbolic, true},
 		{"z3", 0, false},
 	}
 	for _, c := range cases {
@@ -34,7 +34,7 @@ func TestParseEvaluator(t *testing.T) {
 			t.Errorf("ParseEvaluator(%q) = %v, %v", c.in, got, err)
 		}
 	}
-	for _, e := range []symbolic.Evaluator{symbolic.EvalSimulate, symbolic.EvalSymbolic, symbolic.EvalAuto} {
+	for _, e := range []symbolic.Evaluator{symbolic.EvalSimulate, symbolic.EvalSymbolic} {
 		back, err := symbolic.ParseEvaluator(e.String())
 		if err != nil || back != e {
 			t.Errorf("round trip %v -> %q -> %v, %v", e, e.String(), back, err)

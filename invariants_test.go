@@ -6,6 +6,7 @@ package eatss_test
 // harness silently relies on.
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -37,7 +38,7 @@ func TestPipelinePhysicalInvariants(t *testing.T) {
 		k := eatss.MustKernel(kernels[r.Intn(len(kernels))])
 		g := gpus[r.Intn(len(gpus))]
 		tiles := randomTiles(r, k)
-		res, err := eatss.Run(k, g, tiles, eatss.RunConfig{
+		res, _, err := stage(t, k, nil).RunCtx(context.Background(), g, tiles, eatss.RunConfig{
 			UseShared: r.Intn(2) == 0, Precision: eatss.FP64,
 		})
 		if err != nil {
@@ -77,7 +78,7 @@ func TestMappingGeometryInvariants(t *testing.T) {
 		k := eatss.MustKernel(kernels[r.Intn(len(kernels))])
 		g := eatss.GA100()
 		tiles := randomTiles(r, k)
-		mk, err := eatss.Compile(k, g, tiles, eatss.RunConfig{UseShared: true, Precision: eatss.FP64})
+		mk, err := stage(t, k, nil).CompileCtx(context.Background(), g, tiles, eatss.RunConfig{UseShared: true, Precision: eatss.FP64})
 		if err != nil {
 			return true
 		}
@@ -117,17 +118,17 @@ func TestMappingGeometryInvariants(t *testing.T) {
 func TestEATSSSolutionsAlwaysMappable(t *testing.T) {
 	for _, g := range []*eatss.GPU{eatss.GA100(), eatss.Xavier()} {
 		for _, name := range eatss.Kernels() {
-			k := eatss.MustKernel(name)
+			prog := stage(t, eatss.MustKernel(name), nil)
 			for _, split := range eatss.SharedSplits {
 				for _, wf := range eatss.WarpFractions {
-					sel, err := eatss.SelectTiles(k, g, eatss.Options{
+					sel, err := prog.SelectTiles(g, eatss.Options{
 						SplitFactor: split, WarpFraction: wf,
 						Precision: eatss.FP64, ProblemSizeAware: true,
 					})
 					if err != nil {
 						continue // infeasible formulation: fine
 					}
-					if _, err := eatss.Run(k, g, sel.Tiles, eatss.RunConfig{
+					if _, _, err := prog.RunCtx(context.Background(), g, sel.Tiles, eatss.RunConfig{
 						UseShared: split > 0, Precision: eatss.FP64,
 					}); err != nil {
 						t.Errorf("%s/%s split=%.2f wf=%.3f: EATSS tiles %v unmappable: %v",
@@ -147,8 +148,8 @@ func TestSimulationMonotoneInWork(t *testing.T) {
 	tiles := eatss.DefaultTiles(k)
 	var prevT, prevE float64
 	for _, n := range []int64{500, 1000, 2000, 4000} {
-		res, err := eatss.Run(k, g, tiles, eatss.RunConfig{
-			Params:    map[string]int64{"NI": n, "NJ": n, "NK": n},
+		prog := stage(t, k, map[string]int64{"NI": n, "NJ": n, "NK": n})
+		res, _, err := prog.RunCtx(context.Background(), g, tiles, eatss.RunConfig{
 			UseShared: true, Precision: eatss.FP64,
 		})
 		if err != nil {

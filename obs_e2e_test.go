@@ -28,10 +28,10 @@ func withObs(t *testing.T, fn func()) {
 
 func TestSelectTilesEmitsSolverRoundSpans(t *testing.T) {
 	withObs(t, func() {
-		k := eatss.MustKernel("gemm")
+		prog := stage(t, eatss.MustKernel("gemm"), nil)
 		g := eatss.GA100()
 		ctx, root := obs.Start(context.Background(), "test.pipeline")
-		sel, err := eatss.SelectTilesCtx(ctx, k, g, eatss.DefaultOptions())
+		sel, err := prog.SelectTilesCtx(ctx, g, eatss.DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,14 +86,17 @@ func TestSelectTilesEmitsSolverRoundSpans(t *testing.T) {
 
 func TestPipelinePhasesAndMetrics(t *testing.T) {
 	withObs(t, func() {
-		k := eatss.MustKernel("gemm")
 		g := eatss.GA100()
 		ctx, root := obs.Start(context.Background(), "test.pipeline")
-		sel, err := eatss.SelectTilesCtx(ctx, k, g, eatss.DefaultOptions())
+		prog, err := eatss.AnalyzeCtx(ctx, eatss.MustKernel("gemm"), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := eatss.RunCtx(ctx, k, g, sel.Tiles, eatss.RunConfig{UseShared: true}); err != nil {
+		sel, err := prog.SelectTilesCtx(ctx, g, eatss.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := prog.RunCtx(ctx, g, sel.Tiles, eatss.RunConfig{UseShared: true}); err != nil {
 			t.Fatal(err)
 		}
 		root.End()
@@ -134,7 +137,8 @@ func TestPipelinePhasesAndMetrics(t *testing.T) {
 func TestSelectBestSurfacesFailureCounts(t *testing.T) {
 	// Plain gemm: all three splits feasible, nothing skipped, and the
 	// SolveTime aggregation the Best doc promises must be populated.
-	best, err := eatss.SelectBest(eatss.MustKernel("gemm"), eatss.GA100(), eatss.FP64, nil)
+	prog := stage(t, eatss.MustKernel("gemm"), nil)
+	best, err := prog.SelectBestEval(context.Background(), eatss.GA100(), eatss.FP64, eatss.EvalSimulate)
 	if err != nil {
 		t.Fatal(err)
 	}

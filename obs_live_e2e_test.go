@@ -66,7 +66,7 @@ func TestIntrospectionServerDuringSweep(t *testing.T) {
 
 	// A solve first, so the incumbent climb is visible on /progress and
 	// in the flight recorder alongside the sweep.
-	if _, err := eatss.SelectTilesCtx(context.Background(), k, g, eatss.DefaultOptions()); err != nil {
+	if _, err := stage(t, k, nil).SelectTilesCtx(context.Background(), g, eatss.DefaultOptions()); err != nil {
 		t.Fatal(err)
 	}
 	// The solve's incumbent climb must already be on the flight recorder.

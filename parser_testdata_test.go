@@ -1,6 +1,7 @@
 package eatss_test
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -30,7 +31,8 @@ func TestDSLKernelFilesEndToEnd(t *testing.T) {
 			t.Fatalf("%s: %v", path, err)
 		}
 		eatss.Schedule(k)
-		best, err := eatss.SelectBest(k, g, eatss.FP64, nil)
+		prog := stage(t, k, nil)
+		best, err := prog.SelectBestEval(context.Background(), g, eatss.FP64, eatss.EvalSimulate)
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
@@ -38,7 +40,7 @@ func TestDSLKernelFilesEndToEnd(t *testing.T) {
 		if r.GFLOPS <= 0 || r.EnergyJ <= 0 {
 			t.Fatalf("%s: degenerate result %+v", path, r)
 		}
-		def, err := eatss.Run(k, g, eatss.DefaultTiles(k), eatss.RunConfig{UseShared: true, Precision: eatss.FP64})
+		def, _, err := prog.RunCtx(context.Background(), g, eatss.DefaultTiles(k), eatss.RunConfig{UseShared: true, Precision: eatss.FP64})
 		if err != nil {
 			t.Fatalf("%s: default failed: %v", path, err)
 		}

@@ -62,9 +62,14 @@ func TestRandomKernelsThroughPipeline(t *testing.T) {
 		// are legitimately rejected. Every accepted selection must pass
 		// independent certification (the verify oracle) — both inside the
 		// solve (Verify=All) and post-hoc.
+		prog, err := eatss.Analyze(k, nil)
+		if err != nil {
+			t.Fatalf("seed %d: analyze failed: %v", seed, err)
+		}
+		ctx := context.Background()
 		var sel *eatss.Selection
 		for _, wf := range eatss.WarpFractions {
-			s, err := eatss.SelectTiles(k, g, eatss.Options{
+			s, err := prog.SelectTiles(g, eatss.Options{
 				SplitFactor: 0.5, WarpFraction: wf,
 				Precision: eatss.FP64, ProblemSizeAware: true,
 				Verify: eatss.VerifyAll,
@@ -83,7 +88,7 @@ func TestRandomKernelsThroughPipeline(t *testing.T) {
 		}
 		tiles := sel.Tiles
 
-		res, err := eatss.Run(k, g, tiles, eatss.RunConfig{
+		res, _, err := prog.RunCtx(ctx, g, tiles, eatss.RunConfig{
 			UseShared: true, Precision: eatss.FP64, Verify: eatss.VerifyAll,
 		})
 		if err != nil {
@@ -119,14 +124,9 @@ func TestRandomKernelsThroughPipeline(t *testing.T) {
 		// closed-form evaluator must agree with the simulator — or fall
 		// back explicitly (counted, below). Single-point sweeps with
 		// caching off surface the backend attribution per evaluation.
-		prog, err := eatss.Analyze(k, nil)
-		if err != nil {
-			t.Fatalf("seed %d: analyze failed: %v", seed, err)
-		}
-		ctx := context.Background()
 		cfg := eatss.RunConfig{UseShared: true, Precision: eatss.FP64}
 		simCfg, symCfg := cfg, cfg
-		symCfg.Evaluator = eatss.EvalAuto
+		symCfg.Evaluator = eatss.EvalSymbolic
 		point := []map[string]int64{tiles}
 		opt := eatss.SweepOptions{Cache: eatss.NoCache, Workers: 1}
 		simPts, _ := prog.ExploreSpaceOpt(ctx, g, point, simCfg, opt)
@@ -136,7 +136,7 @@ func TestRandomKernelsThroughPipeline(t *testing.T) {
 				seed, len(simPts), len(symPts), k)
 		}
 		if symStats.Symbolic+symStats.Residual != 1 {
-			t.Fatalf("seed %d: auto evaluation attributed to no backend", seed)
+			t.Fatalf("seed %d: symbolic evaluation attributed to no backend", seed)
 		}
 		residualPoints += symStats.Residual
 		if len(simPts) == 1 {

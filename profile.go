@@ -44,7 +44,7 @@ func ProfileOf(res *Result, tiles map[string]int64) (*Profile, error) {
 func ProfileDiff(a, b *Profile) *ProfileDiffReport { return profile.Diff(a, b) }
 
 // NewSweepSurface assembles the exportable energy/time surface from
-// ExploreSpace results: every evaluated point plus min-energy heatmap
+// ExploreSpaceOpt results: every evaluated point plus min-energy heatmap
 // slices for each pair of tile dimensions.
 func NewSweepSurface(kernel, gpu string, pts []SpacePoint) *SweepSurface {
 	spts := make([]profile.SurfacePoint, len(pts))

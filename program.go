@@ -21,8 +21,9 @@ import (
 // downstream stage. Solving the EATSS model, compiling a tile choice,
 // simulating it, sweeping a tile space and explaining a selection all
 // consume the same dependence/reuse analysis; a Program performs it
-// once where the free functions (SelectTiles, Run, ExploreSpace, ...)
-// re-derive it per call.
+// once and every operation runs as one of its methods. The package-level
+// SelectTiles and ExploreSpaceOpt are one-shot conveniences that call
+// Analyze first.
 //
 // A Program is immutable and safe for concurrent use — the sweep
 // engine shares one Program across all of its workers. Its Fingerprint
@@ -104,9 +105,16 @@ func (p *Program) SelectTilesCtx(ctx context.Context, g *GPU, opts Options) (*Se
 	return core.SelectTilesAnalyzed(ctx, p.prog, g, opts)
 }
 
-// DefaultTiles returns PPCG's default 32^d configuration for the
-// Program's kernel.
-func (p *Program) DefaultTiles() map[string]int64 { return ppcg.DefaultTiles(p.prog.Kernel) }
+// SelectSplit generates the EATSS configuration for one shared-memory
+// split, the way SelectBestEval does for each of SharedSplits: the warp
+// fractions coarsest first until one formulation is satisfiable
+// (Sec. V-D), skipping the fractions whose feasibility region is
+// statically empty without calling the solver. It returns the last
+// solver error when no fraction is satisfiable.
+func (p *Program) SelectSplit(ctx context.Context, g *GPU, split float64, prec Precision) (*Selection, error) {
+	sel, _, err := core.SelectSplit(ctx, p.prog, g, split, prec)
+	return sel, err
+}
 
 // Lint diagnoses the Program's kernel under its resolved problem sizes
 // (see the package-level Lint). A validated kernel can still carry
@@ -114,34 +122,25 @@ func (p *Program) DefaultTiles() map[string]int64 { return ppcg.DefaultTiles(p.p
 // patterns, empty domains under these problem sizes.
 func (p *Program) Lint() []Diag { return lint.Lint(p.prog.Kernel, p.prog.Params) }
 
-// Compile maps a tile choice onto the GPU (the PPCG step), reusing the
-// staged analysis. cfg.Params may override the Program's problem sizes
-// for this compile only (the analysis is size-independent); nil keeps
-// them.
-func (p *Program) Compile(g *GPU, tiles map[string]int64, cfg RunConfig) (*MappedKernel, error) {
-	return p.CompileCtx(context.Background(), g, tiles, cfg)
-}
-
-// CompileCtx is Compile with the caller's context threaded through.
+// CompileCtx maps a tile choice onto the GPU (the PPCG step), reusing
+// the staged analysis. cfg.Params may override the Program's problem
+// sizes for this compile only (the analysis is size-independent); nil
+// keeps them.
 func (p *Program) CompileCtx(ctx context.Context, g *GPU, tiles map[string]int64, cfg RunConfig) (*MappedKernel, error) {
 	return compileAnalyzed(ctx, p.prog, g, tiles, cfg)
 }
 
-// Run compiles and simulates one tile configuration.
-func (p *Program) Run(g *GPU, tiles map[string]int64, cfg RunConfig) (Result, error) {
-	return p.RunCtx(context.Background(), g, tiles, cfg)
+// RunCtx evaluates one tile configuration: one enabled call records a
+// compile span and a simulate span under the caller's. It honours
+// cfg.Evaluator: under EvalSymbolic the point is evaluated through the
+// Program's closed-form plan when one derives. The EvalInfo attributes
+// the evaluation to a backend, so serving layers can flag residual
+// fallbacks per request.
+func (p *Program) RunCtx(ctx context.Context, g *GPU, tiles map[string]int64, cfg RunConfig) (Result, EvalInfo, error) {
+	return evalAnalyzed(ctx, p.prog, g, tiles, cfg)
 }
 
-// RunCtx is Run with the caller's context threaded through. It honours
-// cfg.Evaluator: under EvalSymbolic/EvalAuto the point is evaluated
-// through the Program's closed-form plan when one derives.
-func (p *Program) RunCtx(ctx context.Context, g *GPU, tiles map[string]int64, cfg RunConfig) (Result, error) {
-	res, _, err := evalAnalyzed(ctx, p.prog, g, tiles, cfg)
-	return res, err
-}
-
-// EvalInfo attributes one evaluation to a backend — the exported view
-// of the dispatch decision RunCtx makes internally.
+// EvalInfo attributes one evaluation to a backend.
 type EvalInfo struct {
 	// Symbolic: the point was evaluated through the closed-form plan.
 	Symbolic bool
@@ -151,58 +150,33 @@ type EvalInfo struct {
 	Residual bool
 }
 
-// RunEvalCtx is RunCtx returning the backend attribution alongside the
-// result, so serving layers can flag residual fallbacks per request.
-func (p *Program) RunEvalCtx(ctx context.Context, g *GPU, tiles map[string]int64, cfg RunConfig) (Result, EvalInfo, error) {
-	res, info, err := evalAnalyzed(ctx, p.prog, g, tiles, cfg)
-	return res, EvalInfo{Symbolic: info.symbolic, Residual: info.residual}, err
-}
-
-// SelectBest runs the paper's end-to-end protocol (one candidate per
-// shared-memory split, best by performance-per-Watt) with the staged
-// analysis shared across every solve and evaluation — nine model
-// instantiations, one analysis.
-func (p *Program) SelectBest(g *GPU, prec Precision) (*Best, error) {
-	return p.SelectBestCtx(context.Background(), g, prec)
-}
-
-// SelectBestCtx is SelectBest with the caller's context threaded
-// through.
-func (p *Program) SelectBestCtx(ctx context.Context, g *GPU, prec Precision) (*Best, error) {
-	return selectBestAnalyzed(ctx, p.prog, g, prec, nil, EvalSimulate)
-}
-
-// SelectBestEval is SelectBestCtx with an explicit evaluation backend
-// (see the package-level SelectBestEval).
+// SelectBestEval runs the paper's full protocol with the staged
+// analysis shared across every solve and evaluation: one EATSS
+// configuration per shared-memory split (SelectSplit), each evaluated
+// under eval, the best kept by performance-per-Watt. The splits run
+// concurrently and are merged in split order, so the outcome is the one
+// a serial loop over SharedSplits gives. One enabled run records an
+// "eatss.select_best" span with one "eatss.candidate" child per split
+// (the children overlap in time). A ctx cancelled before the protocol
+// finishes yields an error wrapping ctx.Err(), never a Best built from
+// the splits that completed.
 func (p *Program) SelectBestEval(ctx context.Context, g *GPU, prec Precision, eval Evaluator) (*Best, error) {
-	return selectBestAnalyzed(ctx, p.prog, g, prec, nil, eval)
+	return selectBestAnalyzed(ctx, p.prog, g, prec, eval)
 }
 
-// ExploreSpace sweeps a tile space, sharing the staged analysis across
-// the worker pool (see ExploreSpaceOpt for the sweep contracts).
-func (p *Program) ExploreSpace(g *GPU, space []map[string]int64, cfg RunConfig) ([]SpacePoint, ExploreStats) {
-	return p.ExploreSpaceOpt(context.Background(), g, space, cfg, SweepOptions{})
-}
-
-// ExploreSpaceOpt is ExploreSpace with explicit sweep options (worker
-// count, memoization cache).
+// ExploreSpaceOpt evaluates every tile configuration in the space (the
+// paper's exhaustive exploration studies, Secs. II and V), sharing the
+// staged analysis across the sweep's worker pool. See the package-level
+// ExploreSpaceOpt for the sweep contracts.
 func (p *Program) ExploreSpaceOpt(ctx context.Context, g *GPU, space []map[string]int64, cfg RunConfig, opt SweepOptions) ([]SpacePoint, ExploreStats) {
 	return exploreAnalyzed(ctx, p.prog, g, space, cfg, opt)
 }
 
-// PaperSpace returns the paper's 15-sizes-per-dimension exploration
-// space for the Program's kernel.
-func (p *Program) PaperSpace() []map[string]int64 {
-	return ppcg.Space(p.prog.Kernel, ppcg.PaperSpaceSizes())
-}
-
-// Space enumerates a tile space over custom candidate sizes.
-func (p *Program) Space(sizes []int64) []map[string]int64 {
-	return ppcg.Space(p.prog.Kernel, sizes)
-}
-
-// Explain evaluates a selection's resource constraints from the staged
-// analysis (see the package-level Explain).
+// Explain evaluates a selection's resource constraints under its chosen
+// tiles from the staged analysis and reports usage and binding
+// constraints (the paper's walkthrough arithmetic: e.g. gemm's L1
+// capacity binds exactly at (Ti+Tk)*Tj = M_L1). The string is a
+// rendered table.
 func (p *Program) Explain(g *GPU, sel *Selection) ([]ConstraintSlack, string) {
 	return core.ExplainAnalyzed(p.prog, g, sel)
 }
@@ -307,36 +281,27 @@ func symbolicPlan(prog *analysis.Program, g *GPU, cfg RunConfig) (*symbolic.Plan
 	return v.plan, v.err
 }
 
-// evalInfo attributes one evaluation to a backend.
-type evalInfo struct {
-	// symbolic: the point was evaluated through the closed-form plan.
-	// residual: a symbolic evaluator was requested but the point fell
-	// back to compile+simulate (unsupported config, underivable
-	// program, or a per-point residual).
-	symbolic, residual bool
-}
-
 // evalAnalyzed is the evaluation seam every consumer of "what does this
 // tile point cost" goes through (sweep workers, SelectBest candidates,
-// Run, autotune probes, the eatssd service): it dispatches between the
+// RunCtx, autotune probes, the eatssd service): it dispatches between the
 // closed-form symbolic backend and per-point compile+simulate according
 // to cfg.Evaluator, with the simulator as the residual fallback.
-func evalAnalyzed(ctx context.Context, prog *analysis.Program, g *GPU, tiles map[string]int64, cfg RunConfig) (Result, evalInfo, error) {
+func evalAnalyzed(ctx context.Context, prog *analysis.Program, g *GPU, tiles map[string]int64, cfg RunConfig) (Result, EvalInfo, error) {
 	if cfg.Evaluator == EvalSimulate || !symbolicSupported(cfg) {
 		res, err := runAnalyzed(ctx, prog, g, tiles, cfg)
 		// A symbolic request routed to the simulator is a residual
 		// fallback; a plain simulate request is just the default path.
-		return res, evalInfo{residual: cfg.Evaluator != EvalSimulate}, err
+		return res, EvalInfo{Residual: cfg.Evaluator != EvalSimulate}, err
 	}
 	if plan, derr := symbolicPlan(prog, g, cfg); derr == nil {
 		if err := ctx.Err(); err != nil {
-			return Result{}, evalInfo{}, fmt.Errorf("eatss: evaluate %s on %s: %w", prog.Kernel.Name, g.Name, err)
+			return Result{}, EvalInfo{}, fmt.Errorf("eatss: evaluate %s on %s: %w", prog.Kernel.Name, g.Name, err)
 		}
 		res, err := plan.Eval(tiles)
 		if err == nil || !errors.Is(err, symbolic.ErrResidual) {
-			return res, evalInfo{symbolic: true}, err
+			return res, EvalInfo{Symbolic: true}, err
 		}
 	}
 	res, err := runAnalyzed(ctx, prog, g, tiles, cfg)
-	return res, evalInfo{residual: true}, err
+	return res, EvalInfo{Residual: true}, err
 }

@@ -1,9 +1,10 @@
 package eatss_test
 
-// Staged-compilation parity tests: the Program path must be
-// byte-identical to the legacy free-function path, which re-derives the
-// analysis per call. Any divergence means the staging split moved
-// something tile- or options-dependent into the artifact.
+// Staged-compilation parity tests: a Program shared across many
+// evaluations must be byte-identical to a fresh analysis per call, and a
+// Program whose memo tables are warm must answer like a cold one. Any
+// divergence means the staging split moved something tile- or
+// options-dependent into the artifact.
 
 import (
 	"context"
@@ -16,10 +17,10 @@ import (
 )
 
 // TestProgramExploreSpaceParityGemmPaperSpace sweeps gemm's full
-// 15^3-point paper space twice — once through the legacy free function,
-// once through a shared Program — with memoization off, and requires
-// byte-identical points and stats. It then re-evaluates every point with
-// a fresh per-point analysis, the pre-staged pipeline.
+// 15^3-point paper space twice — once through the one-shot package-level
+// helper, once through a shared Program — with memoization off, and
+// requires byte-identical points and stats. It then re-evaluates every
+// point through a fresh Program per point, the pre-staged pipeline.
 func TestProgramExploreSpaceParityGemmPaperSpace(t *testing.T) {
 	k := eatss.MustKernel("gemm")
 	g := eatss.GA100()
@@ -56,7 +57,7 @@ func TestProgramExploreSpaceParityGemmPaperSpace(t *testing.T) {
 	// the same points fail to compile, and the rest agree bit for bit.
 	j := 0
 	for _, tiles := range space {
-		res, err := eatss.Run(k, g, tiles, cfg)
+		res, _, err := stage(t, k, nil).RunCtx(context.Background(), g, tiles, cfg)
 		staged := j < len(progPts) && reflect.DeepEqual(progPts[j].Tiles, tiles)
 		if (err == nil) != staged {
 			t.Fatalf("tiles %v: fresh analysis ok=%t (%v), shared artifact ok=%t", tiles, err == nil, err, staged)
@@ -74,22 +75,25 @@ func TestProgramExploreSpaceParityGemmPaperSpace(t *testing.T) {
 	}
 }
 
-// TestProgramSelectBestParityGemm runs the full three-split protocol
-// both ways and requires identical candidates, accounting and choice.
+// TestProgramSelectBestParityGemm runs the full three-split protocol on
+// a cold Program and again on the same Program once its memo tables
+// (feasibility regions, closed-form plans) are warm from a first run and
+// a sweep, and requires identical candidates, accounting and choice.
 // SolveTime is wall clock and is excluded.
 func TestProgramSelectBestParityGemm(t *testing.T) {
 	k := eatss.MustKernel("gemm")
 	g := eatss.GA100()
+	ctx := context.Background()
+	prog := stage(t, k, nil)
 
-	legacy, err := eatss.SelectBest(k, g, eatss.FP64, nil)
+	cold, err := prog.SelectBestEval(ctx, g, eatss.FP64, eatss.EvalSimulate)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := eatss.Analyze(k, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	staged, err := prog.SelectBest(g, eatss.FP64)
+	prog.ExploreSpaceOpt(ctx, g, eatss.Space(k, []int64{16, 32, 64}),
+		eatss.RunConfig{UseShared: true, Precision: eatss.FP64, Evaluator: eatss.EvalSymbolic},
+		eatss.SweepOptions{Cache: eatss.NoCache})
+	warm, err := prog.SelectBestEval(ctx, g, eatss.FP64, eatss.EvalSimulate)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,10 +108,10 @@ func TestProgramSelectBestParityGemm(t *testing.T) {
 			}
 		}
 	}
-	stripTimes(legacy)
-	stripTimes(staged)
-	if !reflect.DeepEqual(legacy, staged) {
-		t.Fatalf("protocol outcomes diverge:\nlegacy  %+v\nprogram %+v", legacy, staged)
+	stripTimes(cold)
+	stripTimes(warm)
+	if !reflect.DeepEqual(cold, warm) {
+		t.Fatalf("protocol outcomes diverge:\ncold %+v\nwarm %+v", cold, warm)
 	}
 }
 

@@ -20,7 +20,7 @@ import (
 // selectBestSerial is the protocol as one serial loop over the
 // shared-memory splits: the reference the concurrent selectBestAnalyzed
 // must reproduce field for field, spans included.
-func selectBestSerial(ctx context.Context, prog *analysis.Program, g *arch.GPU, prec Precision, params map[string]int64, eval Evaluator) (*Best, error) {
+func selectBestSerial(ctx context.Context, prog *analysis.Program, g *arch.GPU, prec Precision, eval Evaluator) (*Best, error) {
 	k := prog.Kernel
 	ctx, root := obs.Start(ctx, "eatss.select_best")
 	defer root.End()
@@ -59,13 +59,12 @@ func selectBestSerial(ctx context.Context, prog *analysis.Program, g *arch.GPU, 
 		best.SolverCalls += sel.SolverCalls
 		best.SolveTime += sel.SolveTime
 		res, info, err := evalAnalyzed(cctx, prog, g, sel.Tiles, RunConfig{
-			Params:    params,
 			UseShared: split > 0,
 			Precision: prec,
 			Evaluator: eval,
 		})
-		csp.SetBool("symbolic", info.symbolic)
-		if info.residual {
+		csp.SetBool("symbolic", info.Symbolic)
+		if info.Residual {
 			best.Residual++
 			csp.SetBool("residual", true)
 		}
@@ -230,10 +229,10 @@ func TestSelectBestConcurrentParity(t *testing.T) {
 	for _, in := range inputs {
 		id := fmt.Sprintf("%s/%s/%v/%v", in.k.Name, in.g.Name, in.prec, in.eval)
 		obs.Reset()
-		want, werr := selectBestSerial(ctx, analysis.AnalyzeCtx(ctx, in.k, nil), in.g, in.prec, nil, in.eval)
+		want, werr := selectBestSerial(ctx, analysis.AnalyzeCtx(ctx, in.k, nil), in.g, in.prec, in.eval)
 		wantSpans := candidateSpans(t)
 		obs.Reset()
-		got, gerr := selectBestAnalyzed(ctx, analysis.AnalyzeCtx(ctx, in.k, nil), in.g, in.prec, nil, in.eval)
+		got, gerr := selectBestAnalyzed(ctx, analysis.AnalyzeCtx(ctx, in.k, nil), in.g, in.prec, in.eval)
 		gotSpans := candidateSpans(t)
 		if d := bestDiff(want, werr, got, gerr); d != "" {
 			t.Errorf("%s: %s", id, d)
@@ -325,9 +324,13 @@ func TestSelectBestCancelNeverPartial(t *testing.T) {
 func TestSelectBestCancelLeavesNoGoroutine(t *testing.T) {
 	k := mustKernel(t, "gemm")
 	before := runtime.NumGoroutine()
+	p, err := Analyze(k, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, n := range []int64{0, 5, 20, 60, 100} {
 		ctx := newCancelAfter(n)
-		_, err := SelectBestEval(ctx, k, arch.GA100(), FP64, nil, EvalSimulate)
+		_, err := p.SelectBestEval(ctx, arch.GA100(), FP64, EvalSimulate)
 		ctx.cancel()
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("cancel after %d polls: error %v, want context.Canceled", n, err)

@@ -40,7 +40,7 @@ var (
 	mSweepPrunedPoints = obs.NewCounter("eatss.sweep.pruned_points")
 )
 
-// SweepOptions configures the parallel sweep engine behind ExploreSpace
+// SweepOptions configures the parallel sweep engine behind ExploreSpaceOpt
 // (see DESIGN.md's "Parallel sweep engine" section).
 type SweepOptions struct {
 	// Workers bounds the number of concurrent evaluations. 0 (or
@@ -223,12 +223,17 @@ type sweepOutcome struct {
 	sym, resid bool
 }
 
-// ExploreSpaceOpt is ExploreSpaceCtx with explicit sweep options: the
-// worker count and the memoization cache. The contracts, regardless of
-// options:
+// ExploreSpaceOpt evaluates every tile configuration in the space (the
+// paper's exhaustive exploration studies, Secs. II and V): a one-shot
+// Analyze(k, cfg.Params) followed by Program.ExploreSpaceOpt. A kernel
+// Analyze rejects yields no points, with every configuration counted in
+// stats.Skipped. The sweep runs on a bounded worker pool (opt.Workers,
+// 0 = GOMAXPROCS) and memoizes in opt.Cache (nil = DefaultEvalCache).
+// The contracts, regardless of options:
 //
 //   - Ordering: the returned points follow the input space's order
-//     (failed-to-map points omitted), identically for any worker count.
+//     (failed-to-map points omitted, counted in stats.Skipped),
+//     identically for any worker count.
 //   - Cancellation: the sweep polls ctx between evaluations; on
 //     cancellation it returns the points completed so far with
 //     stats.Aborted set, without dispatching further configurations.
@@ -236,9 +241,17 @@ type sweepOutcome struct {
 //     callers may mutate the input space (or the results) freely.
 //
 // The analysis is staged once and shared by every worker; per point
-// only the mapping and simulation run.
+// only the mapping and simulation run. With tracing enabled every
+// configuration records compile/simulate spans (nested under per-worker
+// "sweep.worker" spans), so sweeping thousands of points produces a
+// large trace.
 func ExploreSpaceOpt(ctx context.Context, k *AffineKernel, g *GPU, space []map[string]int64, cfg RunConfig, opt SweepOptions) ([]SpacePoint, ExploreStats) {
-	return exploreAnalyzed(ctx, analysis.AnalyzeCtx(ctx, k, cfg.Params), g, space, cfg, opt)
+	prog, err := AnalyzeCtx(ctx, k, cfg.Params)
+	if err != nil {
+		mExploreSkipped.Add(int64(len(space)))
+		return nil, ExploreStats{Skipped: len(space)}
+	}
+	return prog.ExploreSpaceOpt(ctx, g, space, cfg, opt)
 }
 
 func exploreAnalyzed(ctx context.Context, prog *analysis.Program, g *GPU, space []map[string]int64, cfg RunConfig, opt SweepOptions) ([]SpacePoint, ExploreStats) {
@@ -301,7 +314,7 @@ func exploreAnalyzed(ctx context.Context, prog *analysis.Program, g *GPU, space 
 			evalStart := obs.Now()
 			res, info, err := evalAnalyzed(wctx, prog, g, tiles, cfg)
 			mSweepPointSec.Observe(obs.Now().Sub(evalStart).Seconds())
-			o := sweepOutcome{res: res, ok: err == nil, sym: info.symbolic, resid: info.residual}
+			o := sweepOutcome{res: res, ok: err == nil, sym: info.Symbolic, resid: info.Residual}
 			if o.sym {
 				mSweepSymbolicPoints.Add(1)
 			}

@@ -81,13 +81,14 @@ func TestCompileRunCtxCancellation(t *testing.T) {
 	k := eatss.MustKernel("gemm")
 	g := eatss.GA100()
 	tiles := eatss.DefaultTiles(k)
+	prog := stage(t, k, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	if _, err := eatss.CompileCtx(ctx, k, g, tiles, eatss.RunConfig{}); !errors.Is(err, context.Canceled) {
+	if _, err := prog.CompileCtx(ctx, g, tiles, eatss.RunConfig{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("CompileCtx on cancelled ctx: err = %v, want context.Canceled", err)
 	}
-	if _, err := eatss.RunCtx(ctx, k, g, tiles, eatss.RunConfig{}); !errors.Is(err, context.Canceled) {
+	if _, _, err := prog.RunCtx(ctx, g, tiles, eatss.RunConfig{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("RunCtx on cancelled ctx: err = %v, want context.Canceled", err)
 	}
 }

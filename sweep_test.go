@@ -113,7 +113,8 @@ func TestSpacePointTilesDefensiveCopy(t *testing.T) {
 	k := eatss.MustKernel("mvt")
 	g := eatss.GA100()
 	space := eatss.Space(k, []int64{16, 32})
-	pts, _ := eatss.ExploreSpace(k, g, space, eatss.RunConfig{UseShared: true, Precision: eatss.FP64})
+	pts, _ := eatss.ExploreSpaceOpt(context.Background(), k, g, space,
+		eatss.RunConfig{UseShared: true, Precision: eatss.FP64}, eatss.SweepOptions{})
 	if len(pts) == 0 {
 		t.Fatal("no points")
 	}
@@ -319,11 +320,11 @@ func TestSweepPublishesLiveProgress(t *testing.T) {
 // selection instead of being ignored (the solver polls it between node
 // batches) and is reported as an error, not as UNSAT.
 func TestSelectTilesCtxCancellation(t *testing.T) {
-	k := eatss.MustKernel("gemm")
+	prog := stage(t, eatss.MustKernel("gemm"), nil)
 	g := eatss.GA100()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := eatss.SelectTilesCtx(ctx, k, g, eatss.DefaultOptions())
+	_, err := prog.SelectTilesCtx(ctx, g, eatss.DefaultOptions())
 	if err == nil {
 		t.Fatal("cancelled SelectTilesCtx returned no error")
 	}
@@ -333,7 +334,7 @@ func TestSelectTilesCtxCancellation(t *testing.T) {
 
 	// A solver must not carry cancellation across calls: the same
 	// kernel/GPU/options solve with a fresh context succeeds.
-	if _, err := eatss.SelectTilesCtx(context.Background(), k, g, eatss.DefaultOptions()); err != nil {
+	if _, err := prog.SelectTilesCtx(context.Background(), g, eatss.DefaultOptions()); err != nil {
 		t.Fatalf("fresh-context solve failed after cancelled one: %v", err)
 	}
 }

@@ -42,7 +42,8 @@ func relDiffF(a, b float64) float64 {
 }
 
 // sweepBoth runs the same space through both backends with caching off
-// and checks the point-by-point contract, returning the auto-run stats.
+// and checks the point-by-point contract, returning the symbolic run's
+// stats.
 func sweepBoth(t *testing.T, kernel string, g *eatss.GPU, space []map[string]int64) eatss.ExploreStats {
 	t.Helper()
 	k, err := eatss.Kernel(kernel)
@@ -62,7 +63,7 @@ func sweepBoth(t *testing.T, kernel string, g *eatss.GPU, space []map[string]int
 	simPts, simStats := prog.ExploreSpaceOpt(ctx, g, space, simCfg, opt)
 
 	symCfg := base
-	symCfg.Evaluator = eatss.EvalAuto
+	symCfg.Evaluator = eatss.EvalSymbolic
 	symPts, symStats := prog.ExploreSpaceOpt(ctx, g, space, symCfg, opt)
 
 	if simStats.Symbolic != 0 || simStats.Residual != 0 {
@@ -120,11 +121,7 @@ func TestSymbolicSweepParityGemm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := eatss.Analyze(k, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats := sweepBoth(t, "gemm", eatss.GA100(), prog.PaperSpace())
+	stats := sweepBoth(t, "gemm", eatss.GA100(), eatss.PaperSpace(k))
 	if stats.Residual != 0 {
 		t.Fatalf("gemm fell back to the simulator on %d points", stats.Residual)
 	}
@@ -139,11 +136,7 @@ func TestSymbolicSweepParityCatalog(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			prog, err := eatss.Analyze(k, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			space := prog.Space([]int64{8, 32, 200})
+			space := eatss.Space(k, []int64{8, 32, 200})
 			stats := sweepBoth(t, name, gpu, space)
 			if stats.Residual > 0 {
 				t.Logf("%s on %s: %d/%d residual points", name, gpu.Name, stats.Residual, len(space))
@@ -152,9 +145,9 @@ func TestSymbolicSweepParityCatalog(t *testing.T) {
 	}
 }
 
-// TestSelectBestEvalParity pins the selection protocol: SelectBest on
-// the symbolic backend must pick the same configuration with the same
-// figures as the simulate backend.
+// TestSelectBestEvalParity pins the selection protocol: SelectBestEval
+// on the symbolic backend must pick the same configuration with the same
+// figures as on the simulate backend.
 func TestSelectBestEvalParity(t *testing.T) {
 	for _, name := range []string{"gemm", "syrk", "jacobi-2d"} {
 		k, err := eatss.Kernel(name)
@@ -163,11 +156,12 @@ func TestSelectBestEvalParity(t *testing.T) {
 		}
 		g := eatss.GA100()
 		ctx := context.Background()
-		sim, err := eatss.SelectBestEval(ctx, k, g, eatss.FP64, nil, eatss.EvalSimulate)
+		prog := stage(t, k, nil)
+		sim, err := prog.SelectBestEval(ctx, g, eatss.FP64, eatss.EvalSimulate)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sym, err := eatss.SelectBestEval(ctx, k, g, eatss.FP64, nil, eatss.EvalAuto)
+		sym, err := prog.SelectBestEval(ctx, g, eatss.FP64, eatss.EvalSymbolic)
 		if err != nil {
 			t.Fatal(err)
 		}
