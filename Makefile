@@ -25,11 +25,12 @@ race:
 # cancellation-poisoning regression test), concurrent obs producers, the
 # solver's cancellation polling, SelectBest's concurrent shared-memory
 # splits (serial-oracle parity, cancellation and panic propagation), and
-# the service layer's herd coalescing / deadline / load-shedding paths. It is a focused (fast)
+# the service layer's herd coalescing / deadline / load-shedding paths
+# and its recovery of panics in solve and batch goroutines. It is a focused (fast)
 # subset of `race` so the gate names the concurrent paths explicitly
 # even when the full suite is skipped locally.
 sweep-race:
-	$(GO) test -race -count=1 -run 'Sweep|Explore|Concurrent|SelectBest|SolveCtx|Cancel|Poison|Herd|Coalesc|Deadline|Shed' . ./internal/sweep ./internal/smt ./internal/obs ./internal/serve
+	$(GO) test -race -count=1 -run 'Sweep|Explore|Concurrent|SelectBest|SolveCtx|Cancel|Poison|Herd|Coalesc|Deadline|Shed|Panic' . ./internal/sweep ./internal/smt ./internal/obs ./internal/serve
 
 # obs-bench guards the observability layer's disabled-path cost: the
 # allocs/op checks proving that spans, metrics (counters, gauges and the
@@ -82,8 +83,10 @@ lint-gate:
 # internal/ outside obs and bench" rule, the metric-name lint
 # (literal snake_case dot-namespaced names, each registered exactly
 # once), the "no context.Background()/TODO() under internal/serve
-# or internal/sweep" request-path rule, and the "only the feas
-# lowering declares Sec. IV constraints" rule.
+# or internal/sweep" request-path rule, the "only the feas
+# lowering declares Sec. IV constraints" rule, and R7: every internal/
+# package with non-test files has a non-test importer, so code only
+# tests run lives in _test.go files.
 selfcheck:
 	$(GO) run ./tools/selfcheck .
 

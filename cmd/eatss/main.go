@@ -60,6 +60,13 @@ func main() {
 		"eatss -kernel gemm -dump-model -cuda     # show formulation and code",
 		"eatss -kernel gemm -listen 127.0.0.1:8080  # watch live at /progress")
 	flag.Parse()
+	// Out-of-range fractions are usage errors, like a malformed flag.
+	if !(*split >= 0 && *split <= 1) {
+		usageError("-split %g is outside [0, 1]", *split)
+	}
+	if !(*warpFrac > 0 && *warpFrac <= 1) {
+		usageError("-warpfrac %g is outside (0, 1]", *warpFrac)
+	}
 	if *verbose {
 		cli.Verbose()
 	}
@@ -374,3 +381,9 @@ func emitSurface(ctx context.Context, prog *eatss.Program, g *eatss.GPU, params 
 }
 
 func fatal(err error) { cli.Fatal(err) }
+
+// usageError reports a bad flag value and exits 2, as flag.Parse does.
+func usageError(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "eatss: "+format+"\n", args...)
+	os.Exit(2)
+}

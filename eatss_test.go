@@ -2,6 +2,7 @@ package eatss_test
 
 import (
 	"context"
+	"encoding/json"
 	"os"
 	"strings"
 	"testing"
@@ -182,7 +183,7 @@ func TestV100Pipeline(t *testing.T) {
 }
 
 func TestLoadGPURoundTrip(t *testing.T) {
-	data, err := eatss.GA100().MarshalJSONIndent()
+	data, err := json.MarshalIndent(eatss.GA100(), "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,9 +8,8 @@ import (
 // FeasibleRegion is the static tile-space feasibility analysis of
 // internal/feas: per-dimension interval bounds plus labeled monotone
 // capacity predicates, derived once per (Program, GPU, Config) without
-// the solver. Check judges a point, Empty certifies a whole region
-// infeasible, TightenedBounds is the feasible box the autotuners seed
-// from.
+// the solver. Check judges a point, and Empty certifies a whole region
+// infeasible.
 type FeasibleRegion = feas.Region
 
 // PruneCert is a machine-checkable infeasibility verdict naming the
@@ -39,15 +38,14 @@ func (p *Program) FeasibleRegion(g *GPU, cfg RunConfig) *FeasibleRegion {
 func CertifyPrune(k *AffineKernel, params map[string]int64, g *GPU, cfg feas.Config, cert *PruneCert) error {
 	return verify.CertifyPrune(verify.PruneFacts{
 		SelectionFacts: verify.SelectionFacts{
-			Kernel:                  k,
-			Params:                  params,
-			GPU:                     g,
-			Tiles:                   cert.Tiles,
-			SplitFactor:             cfg.SplitFactor,
-			WarpFraction:            cfg.WarpFraction,
-			Precision:               cfg.Precision,
-			ProblemSizeAware:        cfg.ProblemSizeAware,
-			EnforceThreadBlockLimit: cfg.EnforceThreadBlockLimit,
+			Kernel:           k,
+			Params:           params,
+			GPU:              g,
+			Tiles:            cert.Tiles,
+			SplitFactor:      cfg.SplitFactor,
+			WarpFraction:     cfg.WarpFraction,
+			Precision:        cfg.Precision,
+			ProblemSizeAware: cfg.ProblemSizeAware,
 		},
 		Constraint: cert.Constraint,
 		Nest:       cert.Nest,

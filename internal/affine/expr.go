@@ -124,9 +124,6 @@ func (e Expr) UsesIter(name string) bool { return e.Iters[name] != 0 }
 // IsConstant reports whether e has no iterator or parameter terms.
 func (e Expr) IsConstant() bool { return len(e.Iters) == 0 && len(e.Params) == 0 }
 
-// IsParamOnly reports whether e has no iterator terms.
-func (e Expr) IsParamOnly() bool { return len(e.Iters) == 0 }
-
 // IterNames returns the iterators used in e, sorted.
 func (e Expr) IterNames() []string {
 	names := make([]string, 0, len(e.Iters))

@@ -251,15 +251,6 @@ func (n Nest) Iterations(params map[string]int64) int64 {
 	return total
 }
 
-// IterationsPerLaunch returns the innermost iterations of a single launch.
-func (n Nest) IterationsPerLaunch(params map[string]int64) int64 {
-	total := int64(1)
-	for _, l := range n.Loops {
-		total *= l.Extent(params)
-	}
-	return total
-}
-
 // Flops returns the total floating-point operations of the nest.
 func (n Nest) Flops(params map[string]int64) int64 {
 	per := int64(0)

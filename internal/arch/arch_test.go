@@ -1,6 +1,9 @@
 package arch
 
-import "testing"
+import (
+	"encoding/json"
+	"testing"
+)
 
 func TestGA100PeakFlops(t *testing.T) {
 	g := GA100()
@@ -101,7 +104,7 @@ func TestValidatePresets(t *testing.T) {
 
 func TestJSONRoundTrip(t *testing.T) {
 	for _, g := range []*GPU{GA100(), Xavier(), V100()} {
-		data, err := g.MarshalJSONIndent()
+		data, err := json.MarshalIndent(g, "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,15 +6,10 @@ import (
 	"os"
 )
 
-// This file makes machine descriptions configuration-driven: a GPU can be
-// serialized to JSON, edited, and loaded back, so the pipeline can target
+// This file makes machine descriptions configuration-driven: a GPU's
+// JSON encoding can be edited and loaded back, so the pipeline can target
 // hardware beyond the paper's two boards without code changes
 // (cmd/eatss -gpu-file).
-
-// MarshalJSONIndent serializes the description for editing.
-func (g *GPU) MarshalJSONIndent() ([]byte, error) {
-	return json.MarshalIndent(g, "", "  ")
-}
 
 // FromJSON parses a machine description and validates it.
 func FromJSON(data []byte) (*GPU, error) {

@@ -20,7 +20,6 @@ import (
 	"context"
 	"math"
 	"math/rand"
-	"sort"
 
 	eatss "repro"
 
@@ -265,14 +264,4 @@ func argmaxSurrogate(space []map[string]int64, names []string, hist []Observatio
 		}
 	}
 	return bestIdx
-}
-
-// TopK returns the k best observations of a run, best first.
-func (o Outcome) TopK(k int) []Observation {
-	sorted := append([]Observation(nil), o.History...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Objective > sorted[j].Objective })
-	if k > len(sorted) {
-		k = len(sorted)
-	}
-	return sorted[:k]
 }

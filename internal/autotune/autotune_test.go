@@ -88,19 +88,6 @@ func TestSurrogateBeatsPureBootstrapOnAverage(t *testing.T) {
 	}
 }
 
-func TestTopK(t *testing.T) {
-	out := tuneGemm(t, DefaultConfig())
-	top := out.TopK(5)
-	if len(top) != 5 {
-		t.Fatalf("TopK = %d", len(top))
-	}
-	for i := 1; i < len(top); i++ {
-		if top[i].Objective > top[i-1].Objective {
-			t.Fatal("TopK not sorted")
-		}
-	}
-}
-
 func TestBudgetRespected(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Budget = 12

@@ -204,18 +204,6 @@ func (f *RegTileResult) Render() string {
 	return t.String()
 }
 
-// PrecisionRow compares the model's precision awareness on one kernel.
-type PrecisionRow struct {
-	Kernel string
-	// FP64 run with FP64-model tiles.
-	FP64GF, FP64PPW float64
-	// FP32 run with FP32-model tiles (the adapted model).
-	FP32GF, FP32PPW float64
-	// FP32 run with FP64-model tiles (ablating the adaptation).
-	CrossGF, CrossPPW    float64
-	FP64Tiles, FP32Tiles string
-}
-
 // PrecisionStudy exercises Sec. IV-I: the model adapts its register and
 // capacity budgets to the floating-point width. Running FP32 with the
 // FP32-adapted tiles must match or beat running FP32 with tiles chosen by

@@ -166,18 +166,3 @@ func binIndex(v, lo, hi float64, n int) int {
 	}
 	return i
 }
-
-// GeoMean returns the geometric mean of positive samples (0 otherwise).
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		sum += math.Log(x)
-	}
-	return math.Exp(sum / float64(len(xs)))
-}

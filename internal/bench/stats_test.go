@@ -175,15 +175,6 @@ func TestIQR(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	if g := GeoMean([]float64{1, 4}); math.Abs(g-2) > 1e-12 {
-		t.Fatalf("GeoMean(1,4) = %g, want 2", g)
-	}
-	if GeoMean([]float64{1, -1}) != 0 {
-		t.Fatal("nonpositive input should give 0")
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tab := NewTable("demo", "a", "b")
 	tab.AddRow("x", 1.5)

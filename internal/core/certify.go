@@ -20,24 +20,23 @@ var (
 // verifyKey identifies one (kernel, gpu, options) solve for
 // Verify=Sample's deterministic subsetting.
 func verifyKey(kernel, gpu string, opts Options) string {
-	return fmt.Sprintf("%s|%s|%.3f|%.3f|%s|%v|%v",
+	return fmt.Sprintf("%s|%s|%.3f|%.3f|%s|%v",
 		kernel, gpu, opts.SplitFactor, opts.WarpFraction, opts.Precision,
-		opts.ProblemSizeAware, opts.EnforceThreadBlockLimit)
+		opts.ProblemSizeAware)
 }
 
 // selectionFacts assembles the certifier's input from a finished
 // selection: the solve's exact inputs plus the solver witness.
 func selectionFacts(prog *analysis.Program, g *arch.GPU, sel *Selection) verify.SelectionFacts {
 	return verify.SelectionFacts{
-		Kernel:                  prog.Kernel,
-		Params:                  prog.Params,
-		GPU:                     g,
-		Tiles:                   sel.Tiles,
-		Witness:                 sel.Witness,
-		SplitFactor:             sel.Opts.SplitFactor,
-		WarpFraction:            sel.Opts.WarpFraction,
-		Precision:               sel.Opts.Precision,
-		ProblemSizeAware:        sel.Opts.ProblemSizeAware,
-		EnforceThreadBlockLimit: sel.Opts.EnforceThreadBlockLimit,
+		Kernel:           prog.Kernel,
+		Params:           prog.Params,
+		GPU:              g,
+		Tiles:            sel.Tiles,
+		Witness:          sel.Witness,
+		SplitFactor:      sel.Opts.SplitFactor,
+		WarpFraction:     sel.Opts.WarpFraction,
+		Precision:        sel.Opts.Precision,
+		ProblemSizeAware: sel.Opts.ProblemSizeAware,
 	}
 }

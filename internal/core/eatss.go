@@ -51,7 +51,6 @@ var (
 	mConsShared           = obs.NewCounter("core.cons.capacity_shared")
 	mConsL1               = obs.NewCounter("core.cons.capacity_l1")
 	mConsL2               = obs.NewCounter("core.cons.capacity_l2")
-	mConsBlockLimit       = obs.NewCounter("core.cons.block_limit")
 	mShrinkPasses         = obs.NewCounter("core.shrink_passes")
 	mSolverCallsPerSelect = obs.NewHistogram("core.solver_calls_per_select", 2, 4, 8, 16, 32)
 )
@@ -73,12 +72,6 @@ type Options struct {
 	// using the kernel's parameter bindings (Sec. IV-B). On in
 	// DefaultOptions and SelectSplit.
 	ProblemSizeAware bool
-	// EnforceThreadBlockLimit adds B_size <= T_P_B. The paper states
-	// this bound (Sec. IV-A) but its worked matmul solution
-	// (Ti=16, Tj=384) exceeds it, relying on the register constraint
-	// instead and on PPCG's point-loop strip-mining; we therefore leave
-	// it off by default, matching the published artifact's behaviour.
-	EnforceThreadBlockLimit bool
 	// Verify selects independent certification of each selection
 	// (internal/verify): the solver's model is replayed in arbitrary
 	// precision and the resource bounds are re-derived without the
@@ -214,18 +207,16 @@ type formulation struct {
 // opts: every constraint family on, the rest as the options choose.
 func modelConfig(opts Options) feas.Config {
 	return feas.Config{
-		Precision:               opts.Precision,
-		SplitFactor:             opts.SplitFactor,
-		WarpFraction:            opts.WarpFraction,
-		ProblemSizeAware:        opts.ProblemSizeAware,
-		EnforceThreadBlockLimit: opts.EnforceThreadBlockLimit,
-		Capacity:                true,
+		Precision:        opts.Precision,
+		SplitFactor:      opts.SplitFactor,
+		WarpFraction:     opts.WarpFraction,
+		ProblemSizeAware: opts.ProblemSizeAware,
+		Capacity:         true,
 	}
 }
 
 // consCounters counts emitted constraints per Sec. IV label.
 var consCounters = map[string]*obs.Counter{
-	"block-limit":     mConsBlockLimit,
 	"register":        mConsRegister,
 	"shared-capacity": mConsShared,
 	"l1-capacity":     mConsL1,

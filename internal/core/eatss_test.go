@@ -140,18 +140,6 @@ func TestSplitFactorOneUsesL2Bound(t *testing.T) {
 	}
 }
 
-func TestEnforceThreadBlockLimit(t *testing.T) {
-	opts := DefaultOptions()
-	opts.EnforceThreadBlockLimit = true
-	sel, err := selectTiles(affine.MustLookup("gemm"), arch.GA100(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if prod := sel.Tiles["i"] * sel.Tiles["j"]; prod > 1024 {
-		t.Errorf("B_size = %d exceeds T_P_B with the limit enforced", prod)
-	}
-}
-
 func TestSecondaryShrinkMinimizesSerialTiles(t *testing.T) {
 	// The serial tile T_k does not appear in the objective; the secondary
 	// pass must shrink it to the domain minimum (16 at warp fraction

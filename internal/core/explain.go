@@ -27,8 +27,7 @@ type ConstraintSlack struct {
 // Slack returns Limit - Used.
 func (c ConstraintSlack) Slack() int64 { return c.Limit - c.Used }
 
-// resourceNames maps the Sec. IV resource labels to Explain's rows; the
-// block limit is not a resource and gets no row.
+// resourceNames maps the Sec. IV predicate labels to Explain's rows.
 var resourceNames = map[string]string{
 	"register":        "registers/SM",
 	"shared-capacity": "shared capacity",
@@ -47,13 +46,9 @@ func ExplainAnalyzed(prog *analysis.Program, g *arch.GPU, sel *Selection) ([]Con
 	var out []ConstraintSlack
 	for i := range region.Preds {
 		pr := &region.Preds[i]
-		res, ok := resourceNames[pr.Label]
-		if !ok {
-			continue
-		}
 		used, _ := pr.Eval(sel.Tiles)
 		out = append(out, ConstraintSlack{
-			Nest: pr.Nest, Resource: res, Used: used, Limit: pr.Cap,
+			Nest: pr.Nest, Resource: resourceNames[pr.Label], Used: used, Limit: pr.Cap,
 			Binding: binding(pr, sel.Tiles, waf),
 		})
 	}

@@ -111,17 +111,6 @@ type NestInfo struct {
 	SequentialOnlyReduction []bool
 }
 
-// ParallelLoops returns the names of the parallel loops, outermost first.
-func (ni *NestInfo) ParallelLoops() []string {
-	var out []string
-	for i, p := range ni.Parallel {
-		if p {
-			out = append(out, ni.Nest.Loops[i].Name)
-		}
-	}
-	return out
-}
-
 // NumParallel returns the number of parallel loops in the nest.
 func (ni *NestInfo) NumParallel() int {
 	n := 0
@@ -204,15 +193,6 @@ func AnalyzeNest(n *affine.Nest) *NestInfo {
 		info.SequentialOnlyReduction[d] = carried && onlyReduction
 	}
 	return info
-}
-
-// AnalyzeKernel analyzes every nest of the kernel.
-func AnalyzeKernel(k *affine.Kernel) []*NestInfo {
-	out := make([]*NestInfo, len(k.Nests))
-	for i := range k.Nests {
-		out[i] = AnalyzeNest(&k.Nests[i])
-	}
-	return out
 }
 
 // distanceVector computes the distance vector between two references of the

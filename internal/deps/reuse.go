@@ -240,28 +240,6 @@ next:
 	return count
 }
 
-// SharedRefs returns the references assigned to shared memory.
-func (nr *NestReuse) SharedRefs() []RefReuse {
-	var out []RefReuse
-	for _, r := range nr.Refs {
-		if r.Class == MemShared {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// L1Refs returns the references assigned to the L1 cache.
-func (nr *NestReuse) L1Refs() []RefReuse {
-	var out []RefReuse
-	for _, r := range nr.Refs {
-		if r.Class == MemL1 {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // UniqueArrayRefs deduplicates references by (array, subscript shape),
 // merging e.g. the read and write of an accumulator. The returned slice
 // preserves first-appearance order; Class/Write are OR-ed across merged

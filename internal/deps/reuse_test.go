@@ -118,7 +118,16 @@ func TestSharedAndL1Partition(t *testing.T) {
 		k := affine.MustLookup(name)
 		for ni := range k.Nests {
 			nr := AnalyzeReuse(&k.Nests[ni])
-			if len(nr.SharedRefs())+len(nr.L1Refs()) != len(nr.Refs) {
+			var shared, l1 int
+			for _, r := range nr.Refs {
+				switch r.Class {
+				case MemShared:
+					shared++
+				case MemL1:
+					l1++
+				}
+			}
+			if shared+l1 != len(nr.Refs) {
 				t.Errorf("%s nest %d: shared+L1 != total", name, ni)
 			}
 		}

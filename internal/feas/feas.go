@@ -5,12 +5,11 @@
 //
 // Derive produces a Region: the warp-aligned tile domains of IV-B as
 // per-dimension interval Bounds, plus labeled monotone Predicates for
-// the B_size block limit of IV-A/F, the register bound of IV-G/IV-I and
-// the L1/shared/L2 capacity split of IV-H/IV-J, in emission order.
-// Region.Lower declares exactly that system on an smt.Problem; the
-// solver (internal/core) solves the lowered problem under its IV-K
-// objective, and Explain evaluates the same predicates at the selected
-// tiles. Every coefficient is positive and every tile is >= 1, so each
+// the register bound of IV-G/IV-I and the L1/shared/L2 capacity split
+// of IV-H/IV-J, in emission order. Region.Lower declares exactly that
+// system on an smt.Problem; the solver (internal/core) solves the
+// lowered problem under its IV-K objective, and Explain evaluates the
+// same predicates at the selected tiles. Every coefficient is positive and every tile is >= 1, so each
 // left-hand side is monotone in every variable. That monotonicity is
 // what makes two cheap judgements sound:
 //
@@ -63,8 +62,6 @@ type Config struct {
 	WarpFraction float64
 	// ProblemSizeAware tightens tile upper bounds to min(T_P_B, N).
 	ProblemSizeAware bool
-	// EnforceThreadBlockLimit adds B_size <= T_P_B (Sec. IV-A).
-	EnforceThreadBlockLimit bool
 	// Capacity adds the L1/shared/L2 capacity predicates (IV-H/IV-J),
 	// which depend on SplitFactor.
 	Capacity bool
@@ -74,18 +71,17 @@ type Config struct {
 // (or an explicit-tiles service request) can prune against: the
 // register bound and the problem-size-aware tile domains — exactly the
 // constraints every core.Options instantiation enforces. Warp
-// alignment, the capacity split and the thread-block limit are choices
-// of one solve's Options (the block limit is off by default, matching
-// the published artifact), so they stay out: a sweep prune must hold
-// under every Options, and in particular must never reject a tile
-// choice the solver itself could return.
+// alignment and the capacity split are choices of one solve's Options,
+// so they stay out: a sweep prune must hold under every Options, and in
+// particular must never reject a tile choice the solver itself could
+// return.
 func SweepConfig(prec affine.Precision) Config {
 	return Config{Precision: prec, ProblemSizeAware: true}
 }
 
 // ModelConfig is the Config of one default core.Options instantiation
-// (block limit off, capacity split on): its region is that solve's
-// formulation, so Region.Empty implies the solve returns UNSAT.
+// (capacity split on): its region is that solve's formulation, so
+// Region.Empty implies the solve returns UNSAT.
 func ModelConfig(split, warpFrac float64, prec affine.Precision) Config {
 	return Config{
 		Precision:        prec,
@@ -113,10 +109,10 @@ type Term struct {
 }
 
 // Predicate is one labeled monotone constraint: sum of Terms <= Cap.
-// Labels use verify's vocabulary ("block-limit", "register",
-// "shared-capacity", "l1-capacity", "l2-share"). Box is the predicate's
-// left-hand side evaluated over the domain box in interval arithmetic;
-// Box.Lo > Cap proves the whole region infeasible.
+// Labels use verify's vocabulary ("register", "shared-capacity",
+// "l1-capacity", "l2-share"). Box is the predicate's left-hand side
+// evaluated over the domain box in interval arithmetic; Box.Lo > Cap
+// proves the whole region infeasible.
 type Predicate struct {
 	Label string
 	Nest  string
@@ -309,13 +305,7 @@ func Derive(prog *analysis.Program, g *arch.GPU, cfg Config) *Region {
 			}
 			continue
 		}
-		bsize := Term{Coeff: 1, Iters: na.Parallel}
-		if cfg.EnforceThreadBlockLimit {
-			r.addPred(Predicate{
-				Label: "block-limit", Nest: nest,
-				Terms: []Term{bsize}, Cap: g.ThreadsPerBlock,
-			}, iv)
-		}
+		// No B_size <= T_P_B (IV-A): the paper's own matmul answer (Tj=384) exceeds it.
 		r.addPred(Predicate{
 			Label: "register", Nest: nest,
 			Terms: []Term{{Coeff: na.Reuse.DistinctLineRefs * cfg.Precision.Factor(), Iters: na.Parallel}},
@@ -459,60 +449,6 @@ func (r *Region) Check(tiles map[string]int64) *PruneCert {
 // Feasible reports that Check finds no violation (the point is inside
 // the over-approximation).
 func (r *Region) Feasible(tiles map[string]int64) bool { return r.Check(tiles) == nil }
-
-// TightenedBounds propagates each predicate back into per-dimension
-// upper bounds: for dimension d, every other variable is set to its
-// domain minimum and the predicate is solved for d, which is the
-// loosest bound any feasible point can give d (monotone LHS). The
-// result is the feasible box the autotuners seed from: still an
-// over-approximation, but often far tighter than the raw domains.
-func (r *Region) TightenedBounds() []Bound {
-	out := make([]Bound, len(r.Bounds))
-	copy(out, r.Bounds)
-	if r.Empty != nil {
-		return out
-	}
-	idx := make(map[string]int, len(out))
-	for i, b := range out {
-		idx[b.Name] = i
-	}
-	min := r.minCorner()
-	for _, p := range r.Preds {
-		for _, b := range r.Bounds {
-			d := b.Name
-			// LHS(d) = a*d + rest, with every other variable at its
-			// minimum: a collects terms containing d, rest the others.
-			var a, rest int64
-			uses := false
-			for _, t := range p.Terms {
-				v := t.Coeff
-				hasD := false
-				for _, it := range t.Iters {
-					if it == d {
-						hasD = true
-						continue
-					}
-					v = satMul(v, min[it])
-				}
-				if hasD {
-					uses = true
-					a = satAdd(a, v)
-				} else {
-					rest = satAdd(rest, v)
-				}
-			}
-			if !uses || a <= 0 || p.Cap < rest {
-				continue
-			}
-			hi := (p.Cap - rest) / a
-			hi = (hi / b.Step) * b.Step
-			if hi < out[idx[d]].Iv.Hi {
-				out[idx[d]].Iv.Hi = hi
-			}
-		}
-	}
-	return out
-}
 
 // Lower declares the region on a fresh smt.Problem: one RangeVar
 // "T_<loop>" per Bound, in Bounds order, then one labeled LE constraint

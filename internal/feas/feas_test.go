@@ -6,7 +6,6 @@ import (
 	"repro/internal/affine"
 	"repro/internal/analysis"
 	"repro/internal/arch"
-	"repro/internal/smt"
 )
 
 func gemmRegion(t *testing.T, cfg Config) (*Region, *analysis.Program, *arch.GPU) {
@@ -97,33 +96,6 @@ func TestCheckDomainAndAlignment(t *testing.T) {
 	// it binds.
 	if c := r.Check(map[string]int64{"i": 32}); c != nil {
 		t.Fatalf("partially bound feasible point pruned: %s", c)
-	}
-}
-
-// TightenedBounds must propagate predicate caps back into per-dimension
-// bounds, with the other dimensions at their domain minimum.
-func TestTightenedBounds(t *testing.T) {
-	r := &Region{
-		Bounds: []Bound{
-			{Name: "x", Iv: smt.Interval{Lo: 1, Hi: 1024}, Step: 1},
-			{Name: "y", Iv: smt.Interval{Lo: 1, Hi: 1024}, Step: 1},
-		},
-		Preds: []Predicate{{
-			Label: "register", Nest: "n",
-			Terms: []Term{{Coeff: 64, Iters: []string{"x", "y"}}},
-			Cap:   4096,
-		}},
-	}
-	tb := r.TightenedBounds()
-	for _, b := range tb {
-		// 64*x*y <= 4096 with the other dim at 1: x <= 64.
-		if b.Iv.Hi != 64 {
-			t.Errorf("bound of %s: got Hi=%d, want 64", b.Name, b.Iv.Hi)
-		}
-	}
-	// The receiver's bounds must be untouched.
-	if r.Bounds[0].Iv.Hi != 1024 {
-		t.Fatalf("TightenedBounds mutated the region")
 	}
 }
 

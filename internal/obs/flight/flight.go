@@ -213,19 +213,6 @@ func (r *Recorder) Snapshot() []Event {
 	return out
 }
 
-// SnapshotTrace copies the retained events recorded under the given
-// trace ID, oldest first — one request's slice of the ring.
-func (r *Recorder) SnapshotTrace(trace string) []Event {
-	all := r.Snapshot()
-	out := all[:0]
-	for _, e := range all {
-		if e.Trace == trace {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // jsonEvent is the dump shape of one event.
 type jsonEvent struct {
 	Seq    uint64  `json:"seq"`

@@ -258,8 +258,8 @@ func TestWriteJSON(t *testing.T) {
 }
 
 // TestTraceFilter pins the request-correlation story: events recorded
-// under a trace ID can be sliced back out of the ring, both as a
-// snapshot and as the filtered /flight?trace= JSON dump.
+// under a trace ID can be sliced back out of the ring as the filtered
+// /flight?trace= JSON dump.
 func TestTraceFilter(t *testing.T) {
 	r := New(16)
 	r.Enable()
@@ -269,21 +269,7 @@ func TestTraceFilter(t *testing.T) {
 	r.CounterAdd("c", 1) // no trace: must not match any filter
 	r.Log("INFO", "request", 1, "aaa0")
 
-	evs := r.SnapshotTrace("aaa0")
-	if len(evs) != 3 {
-		t.Fatalf("SnapshotTrace(aaa0) = %d events, want 3", len(evs))
-	}
-	for _, e := range evs {
-		if e.Trace != "aaa0" {
-			t.Fatalf("filtered snapshot leaked trace %q", e.Trace)
-		}
-	}
-
-	var buf bytes.Buffer
-	if err := r.WriteJSONTrace(&buf, "bbb1"); err != nil {
-		t.Fatal(err)
-	}
-	var d struct {
+	type dump struct {
 		Filter string `json:"filter"`
 		Total  uint64 `json:"total"`
 		Events []struct {
@@ -291,12 +277,32 @@ func TestTraceFilter(t *testing.T) {
 			Kind  string `json:"kind"`
 		} `json:"events"`
 	}
-	if err := json.Unmarshal(buf.Bytes(), &d); err != nil {
-		t.Fatalf("filtered dump is not valid JSON: %v", err)
+	filtered := func(trace string) dump {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := r.WriteJSONTrace(&buf, trace); err != nil {
+			t.Fatal(err)
+		}
+		var d dump
+		if err := json.Unmarshal(buf.Bytes(), &d); err != nil {
+			t.Fatalf("filtered dump is not valid JSON: %v", err)
+		}
+		if d.Filter != trace || d.Total != 5 {
+			t.Fatalf("dump meta = %+v, want filter %s over total 5", d, trace)
+		}
+		return d
 	}
-	if d.Filter != "bbb1" || d.Total != 5 {
-		t.Fatalf("dump meta = %+v, want filter bbb1 over total 5", d)
+
+	d := filtered("aaa0")
+	if len(d.Events) != 3 {
+		t.Fatalf("filtered dump(aaa0) = %d events, want 3", len(d.Events))
 	}
+	for _, e := range d.Events {
+		if e.Trace != "aaa0" {
+			t.Fatalf("filtered dump leaked trace %q", e.Trace)
+		}
+	}
+	d = filtered("bbb1")
 	if len(d.Events) != 1 || d.Events[0].Trace != "bbb1" || d.Events[0].Kind != "span_begin" {
 		t.Fatalf("filtered dump events = %+v, want the one bbb1 span_begin", d.Events)
 	}

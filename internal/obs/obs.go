@@ -9,7 +9,7 @@
 //   - Counter/Gauge/Histogram updates are a single predictable branch
 //     when disabled and a lock-free atomic when enabled.
 //
-// The pipeline packages (core, smt, ppcg, codegen, gpusim, cachesim)
+// The pipeline packages (core, smt, ppcg, codegen, gpusim)
 // carry the current span through a context.Context, so one enabled run
 // of SelectTilesCtx/RunCtx produces a single tree: model generation, the
 // solver's objective-improvement rounds (Sec. IV-L / V-G), compilation,

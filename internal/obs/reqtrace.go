@@ -57,12 +57,6 @@ func StartTrace(ctx context.Context, id string) (context.Context, *Trace) {
 	return context.WithValue(ctx, traceKey{}, t), t
 }
 
-// TraceFromContext returns the trace carried by ctx, or nil.
-func TraceFromContext(ctx context.Context) *Trace {
-	t, _ := ctx.Value(traceKey{}).(*Trace)
-	return t
-}
-
 // ID returns the trace's identifier ("" for a nil trace).
 func (t *Trace) ID() string {
 	if t == nil {

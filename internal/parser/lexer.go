@@ -35,10 +35,9 @@ const (
 	tokEOF tokKind = iota
 	tokIdent
 	tokNumber
-	tokSymbol  // one of  { } [ ] ( ) , : ; = + - * / . @ < >
-	tokDotDot  // ..
-	tokPlusEq  // +=
-	tokComment // skipped by the lexer; never emitted
+	tokSymbol // one of  { } [ ] ( ) , : ; = + - * / . @ < >
+	tokDotDot // ..
+	tokPlusEq // +=
 )
 
 // token is one lexeme with its source position.

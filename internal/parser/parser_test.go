@@ -324,16 +324,15 @@ func TestRoundTripCatalog(t *testing.T) {
 			t.Errorf("%s: depth changed in round trip", name)
 		}
 		// Parallel-loop structure must survive (it drives the model).
-		oi := deps.AnalyzeKernel(orig)
-		bi := deps.AnalyzeKernel(back)
-		if len(oi) != len(bi) {
+		if len(orig.Nests) != len(back.Nests) {
 			t.Errorf("%s: nest count changed", name)
 			continue
 		}
-		for i := range oi {
-			if oi[i].NumParallel() != bi[i].NumParallel() {
-				t.Errorf("%s nest %d: parallel loops %d -> %d", name, i,
-					oi[i].NumParallel(), bi[i].NumParallel())
+		for i := range orig.Nests {
+			op := deps.AnalyzeNest(&orig.Nests[i]).NumParallel()
+			bp := deps.AnalyzeNest(&back.Nests[i]).NumParallel()
+			if op != bp {
+				t.Errorf("%s nest %d: parallel loops %d -> %d", name, i, op, bp)
 			}
 		}
 	}

@@ -86,16 +86,6 @@ func LoopNames(k *affine.Kernel) []string {
 	return names
 }
 
-// GeometricSizes returns {lo, 2lo, 4lo, ...} up to hi inclusive — the
-// candidate tile sizes used to build exploration spaces.
-func GeometricSizes(lo, hi int64) []int64 {
-	var out []int64
-	for v := lo; v <= hi; v *= 2 {
-		out = append(out, v)
-	}
-	return out
-}
-
 // Space enumerates the full cartesian tile space of a kernel over the
 // candidate sizes: one configuration per combination of sizes across the
 // kernel's distinct loop names. With 15 candidates and a 3-deep kernel

@@ -52,19 +52,6 @@ func TestSpace2D(t *testing.T) {
 	}
 }
 
-func TestGeometricSizes(t *testing.T) {
-	got := GeometricSizes(4, 64)
-	want := []int64{4, 8, 16, 32, 64}
-	if len(got) != len(want) {
-		t.Fatalf("GeometricSizes = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("GeometricSizes = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestCompileDefault(t *testing.T) {
 	k := affine.MustLookup("gemm")
 	mk, err := CompileAnalyzed(context.Background(), analysis.Analyze(k, nil), nil, nil, arch.GA100(),

@@ -56,8 +56,9 @@ func TestScheduleNormalizesPermutedGemm(t *testing.T) {
 
 func TestScheduleCatalogSoundAndCanonical(t *testing.T) {
 	// Scheduling the catalog must (a) keep every nest's parallelism
-	// classification sound (verified with the exact oracle) and (b)
-	// produce the canonical shape: no serial loop before a parallel one
+	// classification sound (verified with the exact oracle in deps'
+	// TestScheduledCatalogParallelismSound) and (b) produce the
+	// canonical shape: no serial loop before a parallel one
 	// whenever the permutation was applied. Most catalog nests are
 	// already canonical; the single-parallel-loop reductions (atax's
 	// second nest, bicg) legally interchange — reductions commute.
@@ -78,17 +79,6 @@ func TestScheduleCatalogSoundAndCanonical(t *testing.T) {
 							name, n.Name, plans[ni].Order)
 					}
 				}
-			}
-			// Soundness under small sizes.
-			params := map[string]int64{}
-			for pn, v := range cp.Params {
-				if v > 12 {
-					v = 12
-				}
-				params[pn] = v
-			}
-			if v, err := deps.VerifyParallelism(n, params); err != nil || len(v) > 0 {
-				t.Errorf("%s nest %s: post-schedule soundness: %v %v", name, n.Name, v, err)
 			}
 		}
 	}
@@ -120,11 +110,7 @@ func TestScheduleRejectsBackwardDependence(t *testing.T) {
 	after := loopNames(n)
 	for idx := range orig {
 		if orig[idx] != after[idx] {
-			// If the order changed, it must still be legal: verify with
-			// the exact oracle that no parallel-classified loop carries.
-			if v, err := deps.VerifyParallelism(n, nil); err != nil || len(v) > 0 {
-				t.Fatalf("illegal reordering applied: plan=%+v violations=%v err=%v", plan, v, err)
-			}
+			t.Fatalf("illegal reordering applied: plan=%+v, order %v -> %v", plan, orig, after)
 		}
 	}
 }

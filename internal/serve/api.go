@@ -22,7 +22,7 @@ var ops = []string{"lint", "analyze", "solve", "best", "compile", "simulate"}
 // Response statuses.
 const (
 	StatusOK        = "ok"        // request succeeded
-	StatusError     = "error"     // the pipeline rejected the request (HTTP 400/422)
+	StatusError     = "error"     // the pipeline rejected the request (HTTP 400/422) or failed internally (500)
 	StatusTimeout   = "timeout"   // the request deadline expired (HTTP 504)
 	StatusCancelled = "cancelled" // the client went away mid-request (HTTP 499)
 	StatusShed      = "shed"      // admission control refused the request (HTTP 429)
@@ -220,7 +220,7 @@ func (s *Server) Do(ctx context.Context, req *Request) *Response {
 	ctx, ri := withReqInfo(ctx)
 	ctx, cancel := context.WithTimeout(ctx, s.timeout(req))
 	defer cancel()
-	resp := s.do(ctx, req)
+	resp := s.doRecovered(ctx, req)
 	resp.TraceID = traceID
 	elapsed := obs.Now().Sub(start)
 	resp.ElapsedMs = float64(elapsed) / float64(time.Millisecond)
@@ -288,6 +288,18 @@ func (s *Server) timeout(req *Request) time.Duration {
 	return d
 }
 
+// doRecovered is do with a panic answered as HTTP 500: /v1/batch runs
+// each entry on its own goroutine, where no recover of net/http's
+// applies, so an unrecovered panic there would end the process.
+func (s *Server) doRecovered(ctx context.Context, req *Request) (resp *Response) {
+	defer func() {
+		if r := recover(); r != nil {
+			resp = failFrom(&Response{Op: req.Op, GPU: req.GPU}, panicError(r))
+		}
+	}()
+	return s.do(ctx, req)
+}
+
 func (s *Server) do(ctx context.Context, req *Request) *Response {
 	resp := &Response{Op: req.Op, GPU: req.GPU}
 	if resp.GPU == "" {
@@ -303,6 +315,9 @@ func (s *Server) do(ctx context.Context, req *Request) *Response {
 	if !known {
 		return fail(resp, http.StatusBadRequest, StatusError,
 			fmt.Errorf("unknown op %q (valid: %s)", req.Op, strings.Join(ops, ", ")))
+	}
+	if err := checkFractions(req); err != nil {
+		return fail(resp, http.StatusBadRequest, StatusError, err)
 	}
 	k, err := kernelOf(req)
 	if err != nil {
@@ -460,6 +475,19 @@ func kernelOf(req *Request) (*eatss.AffineKernel, error) {
 	}
 }
 
+// checkFractions rejects model options outside their domain: split is
+// the shared share of the L1+shared pool, in [0, 1]; warpfrac is a
+// fraction of a warp, in (0, 1].
+func checkFractions(req *Request) error {
+	if req.Split != nil && !(*req.Split >= 0 && *req.Split <= 1) {
+		return fmt.Errorf("split %g is outside [0, 1]", *req.Split)
+	}
+	if req.WarpFrac != nil && !(*req.WarpFrac > 0 && *req.WarpFrac <= 1) {
+		return fmt.Errorf("warpfrac %g is outside (0, 1]", *req.WarpFrac)
+	}
+	return nil
+}
+
 func solveOptions(req *Request) eatss.Options {
 	opts := eatss.DefaultOptions()
 	if req.Split != nil {
@@ -547,10 +575,10 @@ func fail(resp *Response, httpStatus int, status string, err error) *Response {
 }
 
 // failFrom maps an execution error onto the right transport semantics:
-// shed -> 429, blown deadline -> 504, client cancellation -> 499,
-// anything else -> 422. Canceled is kept apart from DeadlineExceeded so
-// churny clients that disconnect mid-request don't inflate the timeout
-// metric.
+// shed -> 429, blown deadline -> 504, client cancellation -> 499, a
+// recovered panic -> 500, anything else -> 422. Canceled is kept apart
+// from DeadlineExceeded so churny clients that disconnect mid-request
+// don't inflate the timeout metric.
 func failFrom(resp *Response, err error) *Response {
 	switch {
 	case errors.Is(err, errShed):
@@ -559,6 +587,8 @@ func failFrom(resp *Response, err error) *Response {
 		return fail(resp, http.StatusGatewayTimeout, StatusTimeout, err)
 	case errors.Is(err, context.Canceled):
 		return fail(resp, statusClientClosed, StatusCancelled, err)
+	case errors.Is(err, errPanic):
+		return fail(resp, http.StatusInternalServerError, StatusError, err)
 	default:
 		return fail(resp, http.StatusUnprocessableEntity, StatusError, err)
 	}

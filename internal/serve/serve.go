@@ -59,6 +59,7 @@ var (
 	mShed       = obs.NewCounter("serve.shed")
 	mCoalesced  = obs.NewCounter("serve.coalesced")
 	mSolves     = obs.NewCounter("serve.solves")
+	mPanics     = obs.NewCounter("serve.panics") // recovered, answered 500
 	mProgHits   = obs.NewCounter("serve.program_cache_hits")
 	mProgMisses = obs.NewCounter("serve.program_cache_misses")
 	mSelHits    = obs.NewCounter("serve.selection_cache_hits")

@@ -376,6 +376,13 @@ func TestRequestValidation(t *testing.T) {
 		{"unknown evaluator", "/v1/simulate", `{"kernel":"gemm","evaluator":"z3"}`, http.StatusBadRequest},
 		{"bad source", "/v1/analyze", `{"source":"not a kernel"}`, http.StatusBadRequest},
 		{"infeasible formulation", "/v1/solve", `{"kernel":"conv-2d"}`, http.StatusUnprocessableEntity},
+		{"split above 1", "/v1/solve", `{"kernel":"gemm","split":2}`, http.StatusBadRequest},
+		{"negative split", "/v1/compile", `{"kernel":"gemm","split":-0.5}`, http.StatusBadRequest},
+		{"split 1", "/v1/solve", `{"kernel":"gemm","split":1}`, http.StatusOK},
+		{"negative warpfrac", "/v1/solve", `{"kernel":"gemm","warpfrac":-1}`, http.StatusBadRequest},
+		{"huge warpfrac", "/v1/simulate", `{"kernel":"gemm","warpfrac":1e308}`, http.StatusBadRequest},
+		{"zero warpfrac", "/v1/solve", `{"kernel":"gemm","warpfrac":0}`, http.StatusBadRequest},
+		{"warpfrac 1", "/v1/solve", `{"kernel":"gemm","warpfrac":1}`, http.StatusOK},
 		{"empty batch", "/v1/batch", `{"requests":[]}`, http.StatusBadRequest},
 		// Regression: a null batch entry decoded to a nil *Request and
 		// panicked inside a handler-spawned goroutine, crashing the whole
@@ -490,6 +497,122 @@ func TestInflightGaugeDrains(t *testing.T) {
 	close(release)
 	<-done
 	spinUntil(t, func() bool { return mInflight.Value() == 0 })
+}
+
+// TestSolvePanicAnswers500: a panic inside a solve runs on the detached
+// singleflight goroutine, out of reach of any handler's recover; the
+// leader must turn it into the request's 500 instead of a crash.
+func TestSolvePanicAnswers500(t *testing.T) {
+	obs.EnableMetrics()
+	defer obs.Disable()
+	s := New(Config{})
+	s.solveHook = func(string) { panic("boom") }
+	before := mPanics.Value()
+
+	r := s.Do(context.Background(), &Request{Op: "solve", Kernel: "gemm"})
+	if r.Status != StatusError || r.HTTPStatus != http.StatusInternalServerError {
+		t.Fatalf("status=%s http=%d (%s), want %s/500", r.Status, r.HTTPStatus, r.Error, StatusError)
+	}
+	if !strings.Contains(r.Error, "boom") {
+		t.Fatalf("error %q does not name the panic", r.Error)
+	}
+	if got := mPanics.Value(); got != before+1 {
+		t.Fatalf("serve.panics moved %d -> %d, want +1", before, got)
+	}
+}
+
+// TestPanicHerdFailsTogether: every waiter coalesced onto a panicking
+// leader gets the 500 and none hangs; the failure is not cached, so the
+// next request for the key solves afresh, and the admission slot the
+// panicking solve held is released.
+func TestPanicHerdFailsTogether(t *testing.T) {
+	obs.EnableMetrics()
+	defer obs.Disable()
+	s := New(Config{})
+	const n = 6
+	s.solveHook = func(key string) {
+		spin(func() bool { return s.flights.waiters(key) == n })
+		panic("boom")
+	}
+
+	done := make(chan *Response, n)
+	for i := 0; i < n; i++ {
+		go func() {
+			done <- s.Do(context.Background(), &Request{Op: "solve", Kernel: "gemm"})
+		}()
+	}
+	for i := 0; i < n; i++ {
+		select {
+		case r := <-done:
+			if r.HTTPStatus != http.StatusInternalServerError {
+				t.Fatalf("herd member: status=%s http=%d (%s), want 500", r.Status, r.HTTPStatus, r.Error)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%d of %d herd members still waiting on a panicked leader", n-i, n)
+		}
+	}
+
+	s.solveHook = nil
+	r := s.Do(context.Background(), &Request{Op: "solve", Kernel: "gemm"})
+	if r.Status != StatusOK || r.Cached || r.Coalesced {
+		t.Fatalf("repeat: status=%s cached=%t coalesced=%t (%s), want a fresh ok solve",
+			r.Status, r.Cached, r.Coalesced, r.Error)
+	}
+	if got := s.solves.Load(); got != 1 {
+		t.Fatalf("%d solves, want 1: the repeat's (the hook panicked before the herd's began)", got)
+	}
+	if got := mInflight.Value(); got != 0 {
+		t.Fatalf("serve.inflight = %g after the herd drained, want 0", got)
+	}
+}
+
+// TestBatchPanicIsolated: a panicking /v1/batch entry answers 500 while
+// its siblings complete normally.
+func TestBatchPanicIsolated(t *testing.T) {
+	s := New(Config{})
+	s.solveHook = func(key string) {
+		if strings.Contains(key, "|0.25|") {
+			panic("boom")
+		}
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	resp, err := http.Post(ts.URL+"/v1/batch", "application/json", strings.NewReader(`{"requests":[
+		{"op":"solve","kernel":"gemm","split":0.25},
+		{"op":"solve","kernel":"gemm"},
+		{"op":"lint","kernel":"gemm"}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out batchResponse
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || len(out.Responses) != 3 {
+		t.Fatalf("batch: http %d with %d responses, want 200 with 3", resp.StatusCode, len(out.Responses))
+	}
+	if r := out.Responses[0]; r.Status != StatusError || !strings.Contains(r.Error, "boom") {
+		t.Fatalf("panicking entry: status=%s (%s), want %s naming the panic", r.Status, r.Error, StatusError)
+	}
+	for i, r := range out.Responses[1:] {
+		if r.Status != StatusOK {
+			t.Fatalf("sibling %d: status=%s (%s), want ok", i+1, r.Status, r.Error)
+		}
+	}
+}
+
+// TestRequestPanicAnswers500: a panic on the request goroutine itself
+// (here a server whose program cache is missing) is answered as a 500
+// by Do, not left to crash a /v1/batch goroutine.
+func TestRequestPanicAnswers500(t *testing.T) {
+	s := New(Config{})
+	s.programs = nil
+	r := s.Do(context.Background(), &Request{Op: "analyze", Kernel: "gemm"})
+	if r.Status != StatusError || r.HTTPStatus != http.StatusInternalServerError {
+		t.Fatalf("status=%s http=%d (%s), want %s/500", r.Status, r.HTTPStatus, r.Error, StatusError)
+	}
 }
 
 // TestProgramCacheSharedAcrossOps: analyze then solve then lint on the

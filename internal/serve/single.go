@@ -2,10 +2,32 @@ package serve
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 )
+
+// errPanic marks an error recovered from a panic: an internal fault,
+// answered with HTTP 500.
+var errPanic = errors.New("serve: internal error")
+
+// panicError counts a recovered panic and wraps its value as errPanic.
+func panicError(r any) error {
+	mPanics.Add(1)
+	return fmt.Errorf("%w: panic: %v", errPanic, r)
+}
+
+// callRecovered runs fn, returning a panic in fn as its error.
+func callRecovered(fn func() (any, error)) (v any, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = panicError(r)
+		}
+	}()
+	return fn()
+}
 
 // group coalesces concurrent work by key (a minimal singleflight): the
 // first caller for a key becomes the leader and runs fn in a detached
@@ -17,6 +39,8 @@ import (
 //   - The work itself is NOT tied to any caller's context. fn keeps
 //     running after every waiter has given up, so the result still
 //     lands in the cache — the herd's solve is never wasted.
+//   - A panic in fn is every waiter's error, not a crash: the detached
+//     goroutine has no caller to recover it.
 type group struct {
 	mu sync.Mutex
 	m  map[string]*flightCall
@@ -61,7 +85,7 @@ func (g *group) do(ctx context.Context, key string, fn func() (any, error)) (v a
 		// coalescing here. One yield lets every already-runnable request
 		// observe the in-flight call first.
 		runtime.Gosched()
-		v, err := fn()
+		v, err := callRecovered(fn)
 		g.mu.Lock()
 		delete(g.m, key)
 		g.mu.Unlock()

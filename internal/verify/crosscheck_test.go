@@ -67,7 +67,7 @@ func crossCheck(t *testing.T, what string, prog *analysis.Program, g *arch.GPU, 
 	facts := verify.SelectionFacts{
 		Kernel: prog.Kernel, Params: prog.Params, GPU: g,
 		SplitFactor: cfg.SplitFactor, WarpFraction: cfg.WarpFraction, Precision: cfg.Precision,
-		ProblemSizeAware: cfg.ProblemSizeAware, EnforceThreadBlockLimit: cfg.EnforceThreadBlockLimit,
+		ProblemSizeAware: cfg.ProblemSizeAware,
 	}
 
 	upper := verify.UpperBounds(facts)
@@ -88,7 +88,7 @@ func crossCheck(t *testing.T, what string, prog *analysis.Program, g *arch.GPU, 
 	byKey := make(map[string]verify.Bound)
 	var vkeys, fkeys []string
 	for _, b := range vbounds {
-		if !cfg.Capacity && b.Label != "register" && b.Label != "block-limit" {
+		if !cfg.Capacity && b.Label != "register" {
 			continue
 		}
 		key := fmt.Sprintf("%s|%s|%d", b.Nest, b.Label, b.Cap)

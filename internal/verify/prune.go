@@ -12,8 +12,8 @@ type PruneFacts struct {
 	SelectionFacts
 
 	// Constraint names the claimed-violated constraint ("tile-domain",
-	// "tile-alignment", "parallelism", "block-limit", "register",
-	// "shared-capacity", "l1-capacity", "l2-share").
+	// "tile-alignment", "parallelism", "register", "shared-capacity",
+	// "l1-capacity", "l2-share").
 	Constraint string
 	// Nest / Loop locate resource / domain constraints respectively.
 	Nest string

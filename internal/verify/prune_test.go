@@ -73,19 +73,6 @@ func TestCertifyPruneAlignment(t *testing.T) {
 	wantFalsePrune(t, CertifyPrune(f), "alignment claim without alignment in the options")
 }
 
-// A block-limit claim under options that never enforced the block limit
-// must be rejected: the constraint was not part of the formulation, so
-// violating it proves nothing.
-func TestCertifyPruneBlockLimitRequiresEnforcement(t *testing.T) {
-	f := pruneFacts(t, map[string]int64{"i": 512, "j": 512, "k": 4})
-	f.Constraint, f.Nest = "block-limit", "matmul"
-	wantFalsePrune(t, CertifyPrune(f), "block-limit without EnforceThreadBlockLimit")
-	f.EnforceThreadBlockLimit = true
-	if err := CertifyPrune(f); err != nil {
-		t.Fatalf("B_size=262144 > 1024 with the limit enforced, replay must agree: %v", err)
-	}
-}
-
 // Region claims must evaluate at the independently re-derived domain
 // minimum corner; a certificate pinning any other point is rejected
 // outright (the monotone whole-region argument only works at the

@@ -77,11 +77,10 @@ type SelectionFacts struct {
 	Witness *smt.Witness
 
 	// Model options, mirroring core.Options.
-	SplitFactor             float64
-	WarpFraction            float64
-	Precision               affine.Precision
-	ProblemSizeAware        bool
-	EnforceThreadBlockLimit bool
+	SplitFactor      float64
+	WarpFraction     float64
+	Precision        affine.Precision
+	ProblemSizeAware bool
 }
 
 func (f SelectionFacts) params() map[string]int64 {
@@ -114,9 +113,9 @@ func (f SelectionFacts) warpAlignment() int64 {
 //  2. Tile-domain re-derivation: warp-alignment divisibility and the
 //     [WAF, min(T_P_B, N)] bounds of Sec. IV-B, rebuilt from the GPU
 //     description and kernel extents without the solver.
-//  3. Resource re-derivation: the per-nest block-limit, register and
-//     L1/shared/L2 capacity bounds (Sec. IV-F..IV-J) of bounds, decided
-//     at the selected tiles.
+//  3. Resource re-derivation: the per-nest register and L1/shared/L2
+//     capacity bounds (Sec. IV-F..IV-J) of bounds, decided at the
+//     selected tiles.
 //
 // The first Violation found is returned; nil means certified.
 func CertifySelection(f SelectionFacts) error {
@@ -276,10 +275,9 @@ func (b bound) lhs(tiles map[string]int64) (v *big.Int, missing string) {
 // bounds is the certifier's one derivation of the Sec. IV resource
 // bounds, shared by CertifySelection and CertifyPrune: per nest, from a
 // fresh dependence/reuse analysis and the GPU description, in emission
-// order — the B_size block limit when enforced (IV-A/F), the register
-// file (IV-G/IV-I), the shared capacity, then the L1 capacity or, with
-// the whole pool given to shared memory, the per-SM L2 share
-// (IV-C/E/H/J). serial lists the nests with no parallel loop to size a
+// order — the register file (IV-G/IV-I), the shared capacity, then the
+// L1 capacity or, with the whole pool given to shared memory, the per-SM
+// L2 share (IV-C/E/H/J). serial lists the nests with no parallel loop to size a
 // block from; they get no bounds.
 func (f SelectionFacts) bounds() (out []bound, serial []string) {
 	g := f.GPU
@@ -300,10 +298,6 @@ func (f SelectionFacts) bounds() (out []bound, serial []string) {
 		if len(parallel) == 0 {
 			serial = append(serial, nest.Name)
 			continue
-		}
-		if f.EnforceThreadBlockLimit {
-			out = append(out, bound{"block-limit", nest.Name, 1, [][]string{parallel},
-				g.ThreadsPerBlock, "B_size", "T_P_B"})
 		}
 		// REG_SM = B_size x distinct-line refs x FP_factor <= R_P_S.
 		out = append(out, bound{"register", nest.Name, reuse.DistinctLineRefs * f.Precision.Factor(),

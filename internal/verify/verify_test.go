@@ -94,17 +94,6 @@ func TestCertifySelectionCapacityBlown(t *testing.T) {
 	}
 }
 
-func TestCertifySelectionBlockLimit(t *testing.T) {
-	// The paper's own walkthrough exceeds B_size <= T_P_B; the bound is
-	// only enforced when the option asks for it.
-	f := paperFacts()
-	if err := CertifySelection(f); err != nil {
-		t.Fatalf("walkthrough must certify with the limit off: %v", err)
-	}
-	f.EnforceThreadBlockLimit = true
-	wantViolation(t, CertifySelection(f), "block-limit")
-}
-
 // witnessFacts builds a tiny solved problem by hand: one variable
 // T_i in {4, 8, 16}, constraint T_i <= 8, model T_i = 8.
 func witnessFacts(t *testing.T) SelectionFacts {

@@ -88,16 +88,15 @@ type Violation = verify.Violation
 // certified; otherwise the error unwraps to a *Violation.
 func Certify(k *AffineKernel, g *GPU, sel *Selection) error {
 	return verify.CertifySelection(verify.SelectionFacts{
-		Kernel:                  k,
-		Params:                  k.Params,
-		GPU:                     g,
-		Tiles:                   sel.Tiles,
-		Witness:                 sel.Witness,
-		SplitFactor:             sel.Opts.SplitFactor,
-		WarpFraction:            sel.Opts.WarpFraction,
-		Precision:               sel.Opts.Precision,
-		ProblemSizeAware:        sel.Opts.ProblemSizeAware,
-		EnforceThreadBlockLimit: sel.Opts.EnforceThreadBlockLimit,
+		Kernel:           k,
+		Params:           k.Params,
+		GPU:              g,
+		Tiles:            sel.Tiles,
+		Witness:          sel.Witness,
+		SplitFactor:      sel.Opts.SplitFactor,
+		WarpFraction:     sel.Opts.WarpFraction,
+		Precision:        sel.Opts.Precision,
+		ProblemSizeAware: sel.Opts.ProblemSizeAware,
 	})
 }
 

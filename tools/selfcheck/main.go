@@ -26,7 +26,11 @@
 //	    internal/feas) calls RequireLabeled or RangeVar — the Sec. IV
 //	    constraint system has one model-side derivation, feas.Region,
 //	    and every solver formulation is that region lowered, never a
-//	    second hand-written copy.
+//	    second hand-written copy;
+//	R7  every directory under internal/ that holds non-test Go files is
+//	    imported by a non-test file outside that directory — code only
+//	    tests run (an oracle, a reference model) lives in _test.go
+//	    files, so it is not shipped in the build.
 //
 // Test files and testdata are exempt. Run via `make selfcheck`; exits
 // nonzero when any rule fires.
@@ -57,11 +61,35 @@ func main() {
 	if len(os.Args) > 1 {
 		root = os.Args[1]
 	}
+	findings, err := run(root)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "selfcheck:", err)
+		os.Exit(2)
+	}
+	for _, f := range findings {
+		fmt.Printf("%s:%d: [%s] %s\n", f.pos.Filename, f.pos.Line, f.rule, f.msg)
+	}
+	if len(findings) > 0 {
+		fmt.Printf("selfcheck: %d finding(s)\n", len(findings))
+		os.Exit(1)
+	}
+	fmt.Println("selfcheck: ok")
+}
+
+// run checks every non-test Go file under root, the root of a module,
+// and returns the findings sorted by position.
+func run(root string) ([]finding, error) {
+	module, err := modulePath(root)
+	if err != nil {
+		return nil, err
+	}
 	var findings []finding
 	var metrics []metricReg
+	pkgs := map[string]token.Position{} // directory -> its first file
+	imported := map[string]bool{}       // import paths of non-test files
 	fset := token.NewFileSet()
 
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -87,13 +115,20 @@ func main() {
 		}
 		findings = append(findings, checkFile(fset, file, filepath.ToSlash(rel))...)
 		metrics = append(metrics, collectMetricRegs(fset, file)...)
+		dir := filepath.ToSlash(filepath.Dir(rel))
+		if _, seen := pkgs[dir]; !seen {
+			pkgs[dir] = fset.Position(file.Package)
+		}
+		for _, imp := range file.Imports {
+			imported[strings.Trim(imp.Path.Value, `"`)] = true
+		}
 		return nil
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "selfcheck:", err)
-		os.Exit(2)
+		return nil, err
 	}
 	findings = append(findings, checkMetricNames(metrics)...)
+	findings = append(findings, checkImported(module, pkgs, imported)...)
 
 	sort.Slice(findings, func(i, j int) bool {
 		a, b := findings[i].pos, findings[j].pos
@@ -102,14 +137,36 @@ func main() {
 		}
 		return a.Line < b.Line
 	})
-	for _, f := range findings {
-		fmt.Printf("%s:%d: [%s] %s\n", f.pos.Filename, f.pos.Line, f.rule, f.msg)
+	return findings, nil
+}
+
+// modulePath reads the module path from root's go.mod.
+func modulePath(root string) (string, error) {
+	data, err := os.ReadFile(filepath.Join(root, "go.mod"))
+	if err != nil {
+		return "", err
 	}
-	if len(findings) > 0 {
-		fmt.Printf("selfcheck: %d finding(s)\n", len(findings))
-		os.Exit(1)
+	for _, line := range strings.Split(string(data), "\n") {
+		if f := strings.Fields(line); len(f) == 2 && f[0] == "module" {
+			return f[1], nil
+		}
 	}
-	fmt.Println("selfcheck: ok")
+	return "", fmt.Errorf("%s: no module line", filepath.Join(root, "go.mod"))
+}
+
+// checkImported implements R7: pkgs maps each directory holding
+// non-test Go files to its first file, imported holds every path a
+// non-test file imports. A package cannot import itself, so any import
+// of a directory's path comes from outside it.
+func checkImported(module string, pkgs map[string]token.Position, imported map[string]bool) []finding {
+	var out []finding
+	for dir, pos := range pkgs {
+		if strings.HasPrefix(dir, "internal/") && !imported[module+"/"+dir] {
+			out = append(out, finding{pos: pos, rule: "R7",
+				msg: fmt.Sprintf("package %s has no non-test importer; code only tests run belongs in _test.go files", dir)})
+		}
+	}
+	return out
 }
 
 func checkFile(fset *token.FileSet, file *ast.File, rel string) []finding {
