@@ -72,16 +72,21 @@ func main() {
 	}
 	defer cli.Serve(*listen)()
 
+	// The run is one trace: every span of the pipeline lands in it, under
+	// the same 2048-span cap as a daemon request.
 	ctx := context.Background()
-	var rootSpan *obs.Span
-	if *tracePath != "" || *metrics || *summary {
-		obs.Enable()
+	if *tracePath != "" || *metrics || *summary || *listen != "" {
+		obs.EnableMetrics()
+		var run *obs.Trace
+		ctx, run = obs.StartTrace(ctx, "eatss")
+		var rootSpan *obs.Span
 		ctx, rootSpan = obs.Start(ctx, "eatss.pipeline")
 		defer func() {
 			rootSpan.End()
+			spans := run.Snapshot()
 			if *summary {
 				fmt.Println("\n--- span tree ---")
-				fmt.Print(obs.TreeSummary())
+				fmt.Print(obs.TreeSummaryOf(spans))
 			}
 			if *metrics {
 				fmt.Println("\n--- metrics ---")
@@ -94,11 +99,11 @@ func main() {
 					return
 				}
 				defer f.Close()
-				if err := obs.WriteChromeTrace(f); err != nil {
+				if err := obs.WriteChromeTraceOf(f, spans); err != nil {
 					cli.Logger.Error(err.Error(), "tool", "eatss")
 					return
 				}
-				fmt.Printf("\nwrote Chrome trace (%d spans) to %s\n", len(obs.Spans()), *tracePath)
+				fmt.Printf("\nwrote Chrome trace (%d spans, %d dropped) to %s\n", len(spans), run.Dropped(), *tracePath)
 			}
 		}()
 	}
@@ -161,6 +166,11 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
+	}
+	// A fraction under one thread of the warp would be silently rounded
+	// up to a one-thread alignment step.
+	if *warpFrac*float64(g.ThreadsPerWarp) < 1 {
+		usageError("-warpfrac %g is below one thread of %s's %d-thread warp", *warpFrac, g.Name, g.ThreadsPerWarp)
 	}
 	prec := eatss.FP64
 	if *fp32 {

@@ -49,10 +49,9 @@ func main() {
 		cli.Verbose()
 	}
 
-	// Metrics and the flight ring, but not global span capture: a
-	// daemon's span log would grow without bound. Per-request span trees
-	// are bounded per trace and tail-sampled into the /debug/requests
-	// store instead.
+	// Metrics and the flight ring. Spans are recorded only under a
+	// request's trace, bounded per trace and tail-sampled into the
+	// /debug/requests store, so the daemon's memory stays flat.
 	obs.EnableMetrics()
 	flight.Default.Enable()
 	trace.Default.Configure(*traceCap, *traceSample)

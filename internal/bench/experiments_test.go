@@ -210,7 +210,16 @@ func TestFig11Histograms(t *testing.T) {
 
 func TestFig12Sensitivity(t *testing.T) {
 	f := Fig12(arch.GA100(), []string{"gemm", "mvt"}, []int64{1000, 2000, 4000})
-	rows := f.RowsFor("gemm")
+	// Rows come out per kernel in size order.
+	var rows, mvt []Fig12Row
+	for _, r := range f.Rows {
+		switch r.Kernel {
+		case "gemm":
+			rows = append(rows, r)
+		case "mvt":
+			mvt = append(mvt, r)
+		}
+	}
 	if len(rows) != 3 {
 		t.Fatalf("gemm rows = %d", len(rows))
 	}
@@ -224,7 +233,6 @@ func TestFig12Sensitivity(t *testing.T) {
 	}
 	// mvt stays in the static-dominated regime: its power at the largest
 	// size remains well below gemm's.
-	mvt := f.RowsFor("mvt")
 	if len(mvt) == 0 {
 		t.Fatal("no mvt rows")
 	}

@@ -73,17 +73,6 @@ func TimeTilingStudy(g *arch.GPU, kernels []string, fuses []int64) *TimeTilingRe
 	return out
 }
 
-// RowsFor returns the rows of one kernel.
-func (f *TimeTilingResult) RowsFor(kernel string) []TimeTilingRow {
-	var out []TimeTilingRow
-	for _, r := range f.Rows {
-		if r.Kernel == kernel {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // Render prints the extension study.
 func (f *TimeTilingResult) Render() string {
 	t := NewTable("Extension: overlapped time tiling on stencils ("+f.GPU+"), vs same tiles unfused",

@@ -110,17 +110,6 @@ func sizeSweep(title string, g *arch.GPU, kernels []string, sizes []int64) *Fig1
 	return out
 }
 
-// RowsFor returns the sweep rows of one kernel in size order.
-func (f *Fig12Result) RowsFor(kernel string) []Fig12Row {
-	var out []Fig12Row
-	for _, r := range f.Rows {
-		if r.Kernel == kernel {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // Render prints the sweep.
 func (f *Fig12Result) Render() string {
 	t := NewTable(f.Title+": performance and power vs input size ("+f.GPU+")",

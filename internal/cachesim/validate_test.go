@@ -1,6 +1,7 @@
 package cachesim
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -19,7 +20,7 @@ import (
 func mapSmallGemm(t *testing.T, tiles map[string]int64, useShared bool) *codegen.MappedNest {
 	t.Helper()
 	k := affine.MustLookup("gemm").WithParams(map[string]int64{"NI": 128, "NJ": 128, "NK": 128})
-	mk, err := codegen.MapKernel(k, nil, tiles, arch.GA100(),
+	mk, err := codegen.MapKernelReuse(context.Background(), k, nil, nil, tiles, arch.GA100(),
 		codegen.Options{UseShared: useShared, Precision: affine.FP64})
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +145,7 @@ func TestStencilHaloTrace(t *testing.T) {
 	// jacobi-2d: per-block traffic should be about (tile+halo) for A plus
 	// the B write tile; far below 5x (the naive per-reference count).
 	k := affine.MustLookup("jacobi-2d").WithParams(map[string]int64{"N": 256, "T": 1})
-	mk, err := codegen.MapKernel(k, nil, map[string]int64{"i": 16, "j": 32}, arch.GA100(),
+	mk, err := codegen.MapKernelReuse(context.Background(), k, nil, nil, map[string]int64{"i": 16, "j": 32}, arch.GA100(),
 		codegen.Options{UseShared: false, Precision: affine.FP64})
 	if err != nil {
 		t.Fatal(err)

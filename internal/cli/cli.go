@@ -67,20 +67,22 @@ func Fatal(err error) {
 // pointer. Pass the result to Serve after flag.Parse.
 func ListenFlag() *string {
 	return flag.String("listen", "",
-		"serve live introspection on this address (e.g. 127.0.0.1:8080 or :0): /metrics /progress /trace /flight /debug/pprof")
+		"serve live introspection on this address (e.g. 127.0.0.1:8080 or :0): /metrics /progress /flight /profile /debug/requests /debug/pprof")
 }
 
-// Serve enables the observability layer and flight recorder and starts
-// the introspection HTTP server when addr is non-empty. It also
-// installs a SIGINT/SIGTERM handler that dumps the flight recorder
-// before the process dies, so interrupted long runs leave evidence.
+// Serve enables the observability layer (metrics and live progress;
+// spans only under a trace, so a long run's memory stays flat) and the
+// flight recorder, and starts the introspection HTTP server when addr
+// is non-empty. It also installs a SIGINT/SIGTERM handler that dumps
+// the flight recorder before the process dies, so interrupted long runs
+// leave evidence.
 // The returned stop function closes the server (nil-safe to call when
 // addr was empty).
 func Serve(addr string) (stop func()) {
 	if addr == "" {
 		return func() {}
 	}
-	obs.Enable()
+	obs.EnableMetrics()
 	flight.Default.Enable()
 	srv, err := serve.Start(addr)
 	if err != nil {
@@ -109,7 +111,7 @@ func Serve(addr string) (stop func()) {
 }
 
 // shutdown drains the introspection server gracefully — an in-flight
-// /metrics scrape or /trace download finishes — and falls back to an
+// /metrics scrape or /flight download finishes — and falls back to an
 // immediate Close when the drain does not complete in time.
 func shutdown(srv *serve.Server) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

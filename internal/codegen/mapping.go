@@ -19,7 +19,7 @@ import (
 	"repro/internal/obs"
 )
 
-// ErrNegativeTile is returned (wrapped) by MapNest when a tile entry is
+// ErrNegativeTile is returned (wrapped) by MapNestReuse when a tile entry is
 // negative. Missing or zero entries keep the documented default-32
 // behaviour; a negative size is always a caller bug and is rejected
 // rather than silently coerced.
@@ -108,19 +108,13 @@ type MappedNest struct {
 	Precision affine.Precision
 }
 
-// MapNest maps one nest with the given tile sizes. Tile sizes are looked
-// up by loop name; missing or zero entries default to 32, and negative
-// entries are rejected with an error wrapping ErrNegativeTile. It returns
-// an error when the configuration violates a hard execution-model limit
-// (threads per block, shared memory per block, registers). It derives the
-// nest's reuse analysis fresh; callers that already hold one (e.g. via an
-// analysis.Program) should use MapNestReuse.
-func MapNest(n *affine.Nest, params map[string]int64, tiles map[string]int64, g *arch.GPU, opts Options) (*MappedNest, error) {
-	return MapNestReuse(n, deps.AnalyzeReuse(n), params, tiles, g, opts)
-}
-
-// MapNestReuse is MapNest with the nest's reuse analysis supplied by the
-// caller instead of re-derived, so a sweep evaluating thousands of tile
+// MapNestReuse maps one nest with the given tile sizes. Tile sizes are
+// looked up by loop name; missing or zero entries default to 32, and
+// negative entries are rejected with an error wrapping ErrNegativeTile.
+// It returns an error when the configuration violates a hard
+// execution-model limit (threads per block, shared memory per block,
+// registers). The nest's reuse analysis is supplied by the caller
+// instead of re-derived, so a sweep evaluating thousands of tile
 // configurations pays the dependence/reuse analysis once.
 func MapNestReuse(n *affine.Nest, reuse *deps.NestReuse, params map[string]int64, tiles map[string]int64, g *arch.GPU, opts Options) (*MappedNest, error) {
 	m := &MappedNest{
@@ -315,17 +309,13 @@ type MappedKernel struct {
 	RegTileFallbacks  int
 }
 
-// MapKernel maps every nest of the kernel with a single tile configuration
-// (tile sizes are shared across nests by loop name, the way the paper
-// applies one EATSS configuration per kernel).
-func MapKernel(k *affine.Kernel, params map[string]int64, tiles map[string]int64, g *arch.GPU, opts Options) (*MappedKernel, error) {
-	return MapKernelReuse(context.Background(), k, nil, params, tiles, g, opts)
-}
-
-// MapKernelReuse is MapKernel with the caller's context threaded through
-// and precomputed per-nest reuse analyses (aligned with k.Nests, e.g.
-// analysis.Program.NestReuses), so no per-compile re-derivation happens.
-// A nil slice re-derives every nest. Each nest's mapping runs under a
+// MapKernelReuse maps every nest of the kernel with a single tile
+// configuration (tile sizes are shared across nests by loop name, the
+// way the paper applies one EATSS configuration per kernel). It threads
+// the caller's context through and takes precomputed per-nest reuse
+// analyses (aligned with k.Nests, e.g. analysis.Program.NestReuses), so
+// no per-compile re-derivation happens. A nil slice re-derives every
+// nest. Each nest's mapping runs under a
 // "codegen.map_nest" span recording the grid/block decision, thread
 // coarsening, and staging footprint.
 func MapKernelReuse(ctx context.Context, k *affine.Kernel, reuses []*deps.NestReuse, params map[string]int64, tiles map[string]int64, g *arch.GPU, opts Options) (*MappedKernel, error) {

@@ -1,18 +1,20 @@
 package codegen
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
 
 	"repro/internal/affine"
 	"repro/internal/arch"
+	"repro/internal/deps"
 )
 
 func mapGemm(t *testing.T, tiles map[string]int64, opts Options) *MappedNest {
 	t.Helper()
 	k := affine.MustLookup("gemm")
-	m, err := MapNest(&k.Nests[0], k.Params, tiles, arch.GA100(), opts)
+	m, err := MapNestReuse(&k.Nests[0], deps.AnalyzeReuse(&k.Nests[0]), k.Params, tiles, arch.GA100(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +84,7 @@ func TestOversizedBlockCoarsened(t *testing.T) {
 	// (PPCG strip-mines point loops) down to <= 1024 threads, keeping
 	// thread-x (the coalescing dimension) at full width.
 	k := affine.MustLookup("gemm")
-	m, err := MapNest(&k.Nests[0], k.Params, map[string]int64{"i": 64, "j": 64, "k": 16},
+	m, err := MapNestReuse(&k.Nests[0], deps.AnalyzeReuse(&k.Nests[0]), k.Params, map[string]int64{"i": 64, "j": 64, "k": 16},
 		arch.GA100(), Options{Precision: affine.FP64})
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +109,7 @@ func TestSharedOverflowDemotes(t *testing.T) {
 	// Huge serial tile => staging exceeds 48KB; the mapper must demote
 	// the array to global rather than fail (PPCG fallback).
 	k := affine.MustLookup("gemm")
-	m, err := MapNest(&k.Nests[0], k.Params, map[string]int64{"i": 8, "j": 32, "k": 4000},
+	m, err := MapNestReuse(&k.Nests[0], deps.AnalyzeReuse(&k.Nests[0]), k.Params, map[string]int64{"i": 8, "j": 32, "k": 4000},
 		arch.GA100(), Options{UseShared: true, Precision: affine.FP64})
 	if err != nil {
 		t.Fatalf("mapping should demote, not fail: %v", err)
@@ -122,7 +124,7 @@ func TestSharedOverflowDemotes(t *testing.T) {
 func TestTileClampedToExtent(t *testing.T) {
 	k := affine.MustLookup("gemm")
 	small := k.WithParams(map[string]int64{"NI": 8, "NJ": 8, "NK": 8})
-	m, err := MapNest(&small.Nests[0], small.Params, map[string]int64{"i": 32, "j": 32, "k": 32},
+	m, err := MapNestReuse(&small.Nests[0], deps.AnalyzeReuse(&small.Nests[0]), small.Params, map[string]int64{"i": 32, "j": 32, "k": 32},
 		arch.GA100(), Options{Precision: affine.FP64})
 	if err != nil {
 		t.Fatal(err)
@@ -135,7 +137,7 @@ func TestTileClampedToExtent(t *testing.T) {
 func TestStencilHaloStaging(t *testing.T) {
 	// jacobi-2d staged tile must include the +-1 halo.
 	k := affine.MustLookup("jacobi-2d")
-	m, err := MapNest(&k.Nests[0], k.Params, map[string]int64{"i": 8, "j": 32},
+	m, err := MapNestReuse(&k.Nests[0], deps.AnalyzeReuse(&k.Nests[0]), k.Params, map[string]int64{"i": 8, "j": 32},
 		arch.GA100(), Options{UseShared: true, Precision: affine.FP64})
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +158,7 @@ func TestMvtUncoalescedWithoutSharedStaging(t *testing.T) {
 	// mv1: A[i][j] with thread-x = i (the only parallel loop) is not
 	// coalesced.
 	k := affine.MustLookup("mvt")
-	m, err := MapNest(&k.Nests[0], k.Params, map[string]int64{"i": 64, "j": 16},
+	m, err := MapNestReuse(&k.Nests[0], deps.AnalyzeReuse(&k.Nests[0]), k.Params, map[string]int64{"i": 64, "j": 16},
 		arch.GA100(), Options{Precision: affine.FP64})
 	if err != nil {
 		t.Fatal(err)
@@ -184,7 +186,7 @@ func TestMapKernelAllCatalog(t *testing.T) {
 					tiles[l.Name] = 32
 				}
 			}
-			if _, err := MapKernel(k, nil, tiles, g, Options{UseShared: true, Precision: affine.FP64}); err != nil {
+			if _, err := MapKernelReuse(context.Background(), k, nil, nil, tiles, g, Options{UseShared: true, Precision: affine.FP64}); err != nil {
 				t.Errorf("%s on %s: %v", name, gname, err)
 			}
 		}
@@ -218,10 +220,10 @@ func TestRegisterEstimateScalesWithPrecision(t *testing.T) {
 
 func TestMapNestNegativeTileIsError(t *testing.T) {
 	k := affine.MustLookup("gemm")
-	_, err := MapNest(&k.Nests[0], k.Params, map[string]int64{"i": 16, "j": -8, "k": 16},
+	_, err := MapNestReuse(&k.Nests[0], deps.AnalyzeReuse(&k.Nests[0]), k.Params, map[string]int64{"i": 16, "j": -8, "k": 16},
 		arch.GA100(), Options{Precision: affine.FP64})
 	if err == nil {
-		t.Fatal("MapNest accepted a negative tile size")
+		t.Fatal("MapNestReuse accepted a negative tile size")
 	}
 	if !errors.Is(err, ErrNegativeTile) {
 		t.Fatalf("error = %v, want ErrNegativeTile", err)
@@ -235,10 +237,10 @@ func TestMapNestNegativeTileIsError(t *testing.T) {
 		{"i": 16, "k": 16},
 		{"i": 16, "j": 0, "k": 16},
 	} {
-		m, err := MapNest(&k.Nests[0], k.Params, tiles, arch.GA100(),
+		m, err := MapNestReuse(&k.Nests[0], deps.AnalyzeReuse(&k.Nests[0]), k.Params, tiles, arch.GA100(),
 			Options{Precision: affine.FP64})
 		if err != nil {
-			t.Fatalf("MapNest(%v) = %v, want default-32 fallback", tiles, err)
+			t.Fatalf("MapNestReuse(%v) = %v, want default-32 fallback", tiles, err)
 		}
 		if m.Tiles["j"] != 32 {
 			t.Fatalf("tiles %v: T_j = %d, want default 32", tiles, m.Tiles["j"])

@@ -1,6 +1,7 @@
 package codegen
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/affine"
@@ -10,7 +11,7 @@ import (
 func mapStencil(t *testing.T, kernel string, tiles map[string]int64) *MappedNest {
 	t.Helper()
 	k := affine.MustLookup(kernel)
-	mk, err := MapKernel(k, nil, tiles, arch.GA100(),
+	mk, err := MapKernelReuse(context.Background(), k, nil, nil, tiles, arch.GA100(),
 		Options{UseShared: false, Precision: affine.FP64})
 	if err != nil {
 		t.Fatal(err)
@@ -24,7 +25,7 @@ func TestStencilRadius(t *testing.T) {
 		t.Fatalf("jacobi-2d radius = %d, want 1", r)
 	}
 	k := affine.MustLookup("gemm")
-	mk, err := MapKernel(k, nil, map[string]int64{"i": 32, "j": 32, "k": 32},
+	mk, err := MapKernelReuse(context.Background(), k, nil, nil, map[string]int64{"i": 32, "j": 32, "k": 32},
 		arch.GA100(), Options{Precision: affine.FP64})
 	if err != nil {
 		t.Fatal(err)
@@ -54,7 +55,7 @@ func TestApplyTimeTiling(t *testing.T) {
 
 func TestTimeTilingRejectsNonStencil(t *testing.T) {
 	k := affine.MustLookup("gemm")
-	mk, err := MapKernel(k, nil, map[string]int64{"i": 32, "j": 32, "k": 32},
+	mk, err := MapKernelReuse(context.Background(), k, nil, nil, map[string]int64{"i": 32, "j": 32, "k": 32},
 		arch.GA100(), Options{Precision: affine.FP64})
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +85,7 @@ func TestTimeTilingRejectsDouble(t *testing.T) {
 
 func TestApplyRegisterTiling(t *testing.T) {
 	k := affine.MustLookup("gemm")
-	mk, err := MapKernel(k, nil, map[string]int64{"i": 64, "j": 64, "k": 16},
+	mk, err := MapKernelReuse(context.Background(), k, nil, nil, map[string]int64{"i": 64, "j": 64, "k": 16},
 		arch.GA100(), Options{UseShared: true, Precision: affine.FP64})
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +118,7 @@ func TestApplyRegisterTiling(t *testing.T) {
 func TestRegisterTilingRejections(t *testing.T) {
 	k := affine.MustLookup("gemm")
 	fresh := func() *MappedNest {
-		mk, err := MapKernel(k, nil, map[string]int64{"i": 64, "j": 64, "k": 16},
+		mk, err := MapKernelReuse(context.Background(), k, nil, nil, map[string]int64{"i": 64, "j": 64, "k": 16},
 			arch.GA100(), Options{Precision: affine.FP64})
 		if err != nil {
 			t.Fatal(err)
@@ -141,7 +142,7 @@ func TestRegisterTilingRejections(t *testing.T) {
 
 func TestMicroReuseFactors(t *testing.T) {
 	k := affine.MustLookup("gemm")
-	mk, err := MapKernel(k, nil, map[string]int64{"i": 64, "j": 64, "k": 16},
+	mk, err := MapKernelReuse(context.Background(), k, nil, nil, map[string]int64{"i": 64, "j": 64, "k": 16},
 		arch.GA100(), Options{Precision: affine.FP64})
 	if err != nil {
 		t.Fatal(err)

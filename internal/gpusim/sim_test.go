@@ -1,6 +1,7 @@
 package gpusim
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/affine"
@@ -14,7 +15,7 @@ func compile(t *testing.T, kernel string, tiles map[string]int64, g *arch.GPU, p
 	if params != nil {
 		k = k.WithParams(params)
 	}
-	mk, err := codegen.MapKernel(k, nil, tiles, g, codegen.Options{UseShared: true, Precision: affine.FP64})
+	mk, err := codegen.MapKernelReuse(context.Background(), k, nil, nil, tiles, g, codegen.Options{UseShared: true, Precision: affine.FP64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func TestUncoalescedCostsTime(t *testing.T) {
 	// sector. mv2 reads the transposed A[j][i]: stride-1 along thread-x,
 	// coalesced. Same data volume, so mv1 must burn more LSU slots and
 	// more time per launch.
-	mk, err := codegen.MapKernel(k, nil, map[string]int64{"i": 32, "j": 32}, g,
+	mk, err := codegen.MapKernelReuse(context.Background(), k, nil, nil, map[string]int64{"i": 32, "j": 32}, g,
 		codegen.Options{UseShared: false, Precision: affine.FP64})
 	if err != nil {
 		t.Fatal(err)
@@ -189,7 +190,7 @@ func TestDVFSWithinRange(t *testing.T) {
 		for _, kernel := range []string{"gemm", "mvt", "jacobi-2d"} {
 			k := affine.MustLookup(kernel)
 			tiles := map[string]int64{"i": 32, "j": 32, "k": 32}
-			mk, err := codegen.MapKernel(k, nil, tiles, g, codegen.Options{UseShared: true, Precision: affine.FP64})
+			mk, err := codegen.MapKernelReuse(context.Background(), k, nil, nil, tiles, g, codegen.Options{UseShared: true, Precision: affine.FP64})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -293,11 +294,11 @@ func TestTimeTilingExtension(t *testing.T) {
 	k := affine.MustLookup("jacobi-2d")
 	tiles := map[string]int64{"i": 32, "j": 64}
 
-	base, err := codegen.MapKernel(k, nil, tiles, g, codegen.Options{Precision: affine.FP64})
+	base, err := codegen.MapKernelReuse(context.Background(), k, nil, nil, tiles, g, codegen.Options{Precision: affine.FP64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fused, err := codegen.MapKernel(k, nil, tiles, g, codegen.Options{Precision: affine.FP64})
+	fused, err := codegen.MapKernelReuse(context.Background(), k, nil, nil, tiles, g, codegen.Options{Precision: affine.FP64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +339,7 @@ func TestRegisterTilingExtension(t *testing.T) {
 	k := affine.MustLookup("gemm")
 	tiles := map[string]int64{"i": 64, "j": 64, "k": 16}
 	run := func(r int64) Result {
-		mk, err := codegen.MapKernel(k, nil, tiles, g,
+		mk, err := codegen.MapKernelReuse(context.Background(), k, nil, nil, tiles, g,
 			codegen.Options{UseShared: true, Precision: affine.FP64})
 		if err != nil {
 			t.Fatal(err)

@@ -9,13 +9,9 @@ import (
 	"time"
 )
 
-// TreeSummary renders the recorded spans as an indented tree with
-// durations and attributes — the human-readable exporter.
-func TreeSummary() string { return TreeSummaryOf(Spans()) }
-
-// TreeSummaryOf renders the given spans as an indented tree — the
-// per-request form used by the /debug/requests drill-down, where the
-// spans come from one trace instead of the process-wide sink.
+// TreeSummaryOf renders the given spans (a Trace's Snapshot) as an
+// indented tree with durations and attributes — the human-readable
+// exporter behind eatss -summary and the /debug/requests drill-down.
 func TreeSummaryOf(spans []*Span) string {
 	if len(spans) == 0 {
 		return "(no spans recorded)\n"
@@ -27,7 +23,7 @@ func TreeSummaryOf(spans []*Span) string {
 	}
 	var roots []*Span
 	for _, sp := range spans {
-		// Treat spans whose parent was recorded before a Reset as roots.
+		// Treat spans whose parent is not among them as roots.
 		if sp.Parent == 0 || !ids[sp.Parent] {
 			roots = append(roots, sp)
 			continue
@@ -111,8 +107,9 @@ type JSONSpan struct {
 	Attrs   map[string]any `json:"attrs,omitempty"`
 }
 
-// JSONSpans converts spans to the JSON export shape — used by WriteJSON
-// and by the /debug/requests per-trace drill-down.
+// JSONSpans converts spans to the JSON export shape — the raw export
+// for downstream tooling, used by the /debug/requests per-trace
+// drill-down.
 func JSONSpans(spans []*Span) []JSONSpan {
 	js := make([]JSONSpan, 0, len(spans))
 	for _, sp := range spans {
@@ -140,17 +137,6 @@ func attrMap(attrs []Attr) map[string]any {
 	return m
 }
 
-// WriteJSON writes {"spans": [...], "metrics": {...}} — the raw export
-// for downstream tooling.
-func WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(struct {
-		Spans   []JSONSpan      `json:"spans"`
-		Metrics MetricsSnapshot `json:"metrics"`
-	}{JSONSpans(Spans()), Snapshot()})
-}
-
 // chromeEvent is one Chrome trace-event ("X" = complete event). The
 // format is documented in the Trace Event Format spec; files load in
 // chrome://tracing and https://ui.perfetto.dev.
@@ -165,16 +151,13 @@ type chromeEvent struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
-// WriteChromeTrace writes the recorded spans as Chrome trace events.
-// Each top-level span gets its own track (tid) with descendants nested
-// inside it; timestamps are microseconds relative to the earliest span.
-// The metrics snapshot rides along under the extra "metrics" key, which
-// trace viewers ignore.
-func WriteChromeTrace(w io.Writer) error { return WriteChromeTraceOf(w, Spans()) }
-
-// WriteChromeTraceOf writes the given spans as Chrome trace events —
-// the per-request form behind /debug/requests?view=chrome, so a single
-// request's tree loads in chrome://tracing or ui.perfetto.dev.
+// WriteChromeTraceOf writes the given spans (a Trace's Snapshot) as
+// Chrome trace events, so a run's or a request's tree loads in
+// chrome://tracing or ui.perfetto.dev. Each top-level span gets its own
+// track (tid) with descendants nested inside it; timestamps are
+// microseconds relative to the earliest span. The metrics snapshot
+// rides along under the extra "metrics" key, which trace viewers
+// ignore.
 func WriteChromeTraceOf(w io.Writer, spans []*Span) error {
 	var t0 time.Time
 	for _, sp := range spans {

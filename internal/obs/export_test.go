@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -12,8 +11,8 @@ import (
 )
 
 // buildFixedTrace records a deterministic span tree and metrics under a
-// fake clock, shared by the exporter tests.
-func buildFixedTrace(t *testing.T) {
+// fake clock into a fresh trace, shared by the exporter tests.
+func buildFixedTrace(t *testing.T) *Trace {
 	t.Helper()
 	base := time.Unix(1700000000, 0).UTC()
 	tick := int64(0)
@@ -23,9 +22,10 @@ func buildFixedTrace(t *testing.T) {
 	})
 	t.Cleanup(func() { SetClock(nil) })
 
-	ctx, pipe := Start(context.Background(), "pipeline") // t=100us
-	sctx, solve := Start(ctx, "solve")                   // t=200us
-	_, r0 := Start(sctx, "round")                        // t=300us
+	ctx, tr := traced(t)
+	ctx, pipe := Start(ctx, "pipeline") // t=100us
+	sctx, solve := Start(ctx, "solve")  // t=200us
+	_, r0 := Start(sctx, "round")       // t=300us
 	r0.SetInt("round", 0)
 	r0.SetInt("objective", 1024)
 	r0.End()                      // t=400us
@@ -43,19 +43,20 @@ func buildFixedTrace(t *testing.T) {
 	NewCounter("test.export.nodes").Add(42)
 	NewGauge("test.export.ppw").Set(3.5)
 	NewHistogram("test.export.occ", 16, 32).Observe(24)
+	return tr
 }
 
 func TestChromeTraceGolden(t *testing.T) {
 	Reset()
-	Enable()
+	EnableMetrics()
 	defer func() {
 		Disable()
 		Reset()
 	}()
-	buildFixedTrace(t)
+	tr := buildFixedTrace(t)
 
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf); err != nil {
+	if err := WriteChromeTraceOf(&buf, tr.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	got := buf.Bytes()
@@ -123,14 +124,14 @@ func TestChromeTraceGolden(t *testing.T) {
 
 func TestTreeSummaryAndJSON(t *testing.T) {
 	Reset()
-	Enable()
+	EnableMetrics()
 	defer func() {
 		Disable()
 		Reset()
 	}()
-	buildFixedTrace(t)
+	tr := buildFixedTrace(t)
 
-	tree := TreeSummary()
+	tree := TreeSummaryOf(tr.Snapshot())
 	for _, want := range []string{"pipeline", "  solve", "    round", "  simulate", "objective=4096"} {
 		if !strings.Contains(tree, want) {
 			t.Errorf("tree summary missing %q:\n%s", want, tree)
@@ -141,29 +142,26 @@ func TestTreeSummaryAndJSON(t *testing.T) {
 		t.Errorf("round not doubly indented:\n%s", tree)
 	}
 
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf); err != nil {
+	buf, err := json.Marshal(JSONSpans(tr.Snapshot()))
+	if err != nil {
 		t.Fatal(err)
 	}
-	var out struct {
-		Spans []struct {
-			ID     uint64 `json:"id"`
-			Parent uint64 `json:"parent"`
-			Name   string `json:"name"`
-			DurNs  int64  `json:"dur_ns"`
-		} `json:"spans"`
-		Metrics MetricsSnapshot `json:"metrics"`
+	var spans []struct {
+		ID     uint64 `json:"id"`
+		Parent uint64 `json:"parent"`
+		Name   string `json:"name"`
+		DurNs  int64  `json:"dur_ns"`
 	}
-	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
+	if err := json.Unmarshal(buf, &spans); err != nil {
 		t.Fatal(err)
 	}
-	if len(out.Spans) != 5 {
-		t.Fatalf("json spans = %d, want 5", len(out.Spans))
+	if len(spans) != 5 {
+		t.Fatalf("json spans = %d, want 5", len(spans))
 	}
-	if out.Spans[1].Parent != out.Spans[0].ID {
+	if spans[1].Parent != spans[0].ID {
 		t.Error("json lost parent linkage")
 	}
-	if out.Metrics.Gauges["test.export.ppw"] != 3.5 {
-		t.Errorf("json metrics = %v", out.Metrics.Gauges)
+	if g := Snapshot().Gauges["test.export.ppw"]; g != 3.5 {
+		t.Errorf("metrics gauge = %v, want 3.5", g)
 	}
 }

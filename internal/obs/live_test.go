@@ -17,7 +17,7 @@ func withFlight(t *testing.T, fn func()) {
 	t.Helper()
 	Reset()
 	flight.Default.Reset()
-	Enable()
+	EnableMetrics()
 	flight.Default.Enable()
 	defer func() {
 		Disable()
@@ -30,7 +30,8 @@ func withFlight(t *testing.T, fn func()) {
 
 func TestSpansAndMetricsFlowIntoFlight(t *testing.T) {
 	withFlight(t, func() {
-		ctx, sp := Start(context.Background(), "flight.test")
+		ctx, _ := traced(t)
+		ctx, sp := Start(ctx, "flight.test")
 		_, child := Start(ctx, "flight.child")
 		child.End()
 		sp.End()
@@ -150,7 +151,8 @@ func TestLogHandlerTagsSpanAndMirrorsToFlight(t *testing.T) {
 	withFlight(t, func() {
 		var buf bytes.Buffer
 		logger := NewLogger(&buf, slog.LevelInfo)
-		ctx, sp := Start(context.Background(), "log.test")
+		ctx, _ := traced(t)
+		ctx, sp := Start(ctx, "log.test")
 		logger.InfoContext(ctx, "solving", "kernel", "gemm")
 		logger.Info("no span here")
 		sp.End()
@@ -221,4 +223,31 @@ func TestLiveObsOverheadDisabled(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("disabled live-observability path allocates %.1f per cycle, want 0", allocs)
 	}
+}
+
+// TestListenPostureStartDoesNotAllocate guards the posture of a CLI
+// under -listen (and of eatssd with -no-request-traces): metrics and the
+// flight recorder on, no trace in the context. Start must return the
+// nil span, allocate nothing and put no span event into the flight
+// ring, so untraced figure code costs a long run no memory.
+func TestListenPostureStartDoesNotAllocate(t *testing.T) {
+	withFlight(t, func() {
+		ctx := context.Background()
+		allocs := testing.AllocsPerRun(1000, func() {
+			ctx2, sp := Start(ctx, "gpusim.simulate")
+			sp.SetInt("points", 1)
+			sp.End()
+			if sp != nil || ctx2 != ctx {
+				t.Fatal("Start recorded a span without a trace")
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("untraced Start under -listen allocates %.1f per call, want 0", allocs)
+		}
+		for _, e := range flight.Default.Snapshot() {
+			if e.Kind == flight.KindSpanBegin || e.Kind == flight.KindSpanEnd {
+				t.Fatalf("untraced Start put a span event into the flight ring: %+v", e)
+			}
+		}
+	})
 }

@@ -1,20 +1,27 @@
 // Package obs is the pipeline-wide observability layer: hierarchical
-// spans, a process-wide metrics registry, and exporters (human-readable
-// tree, JSON, Chrome trace-event format). It is stdlib-only and built so
-// that instrumentation costs nothing when disabled:
+// spans collected into per-run traces, a process-wide metrics registry,
+// and exporters (human-readable tree, JSON, Chrome trace-event format).
+// It is stdlib-only and built so that instrumentation costs nothing
+// when disabled:
 //
-//   - obs.Start returns a nil *Span when tracing is off; every Span
-//     method nil-checks, so the instrumented code needs no guards and
-//     the disabled path performs no allocation (see TestObsOverhead),
+//   - obs.Start returns a nil *Span when the layer is off or the context
+//     carries no Trace; every Span method nil-checks, so the
+//     instrumented code needs no guards and that path performs no
+//     allocation (see TestObsOverhead and
+//     TestListenPostureStartDoesNotAllocate),
 //   - Counter/Gauge/Histogram updates are a single predictable branch
 //     when disabled and a lock-free atomic when enabled.
 //
-// The pipeline packages (core, smt, ppcg, codegen, gpusim)
-// carry the current span through a context.Context, so one enabled run
-// of SelectTilesCtx/RunCtx produces a single tree: model generation, the
-// solver's objective-improvement rounds (Sec. IV-L / V-G), compilation,
-// and simulation. cmd/eatss exposes the layer via -trace, -metrics and
-// -summary.
+// A span is recorded only under a Trace opened with StartTrace: there
+// is no process-wide span log, so a long-lived process never
+// accumulates spans outside a bounded trace. The pipeline packages
+// (core, smt, ppcg, codegen, gpusim) carry the current span through a
+// context.Context, so one traced run of SelectTilesCtx/RunCtx produces
+// a single tree: model generation, the solver's objective-improvement
+// rounds (Sec. IV-L / V-G), compilation, and simulation. cmd/eatss
+// exposes its run's trace via -trace and -summary, eatssd exposes each
+// request's trace at /debug/requests, and TreeSummaryOf,
+// WriteChromeTraceOf and JSONSpans export any trace's Snapshot.
 package obs
 
 import (
@@ -23,35 +30,18 @@ import (
 	"time"
 )
 
-// enabled gates both span recording and metric updates; spanCapture
-// additionally gates span recording, so a long-lived process can keep
-// the (bounded) metrics registry hot without accumulating spans.
-var (
-	enabled     atomic.Bool
-	spanCapture atomic.Bool
-)
+// enabled gates metric updates, live progress and span recording.
+var enabled atomic.Bool
 
-// Enable turns span recording and metric updates on.
-func Enable() {
-	enabled.Store(true)
-	spanCapture.Store(true)
-}
-
-// EnableMetrics turns metric updates (and live sweep progress) on
-// without span recording. Spans accumulate in memory until Reset —
-// fine for one pipeline run under -trace, unbounded for a daemon.
-// cmd/eatssd runs under EnableMetrics so /metrics, /progress and the
-// flight recorder's bounded ring stay live while memory stays flat.
+// EnableMetrics turns the layer on: metric updates, live sweep progress
+// and span recording into traces opened with StartTrace. A context
+// without a Trace still gets the nil span, so a long-lived process
+// (eatssd, any CLI under -listen) keeps /metrics, /progress and the
+// flight recorder's bounded ring live while memory stays flat.
 func EnableMetrics() { enabled.Store(true) }
 
 // Disable turns the layer off again; already-recorded data is kept.
-func Disable() {
-	enabled.Store(false)
-	spanCapture.Store(false)
-}
-
-// Enabled reports whether the layer is recording.
-func Enabled() bool { return enabled.Load() }
+func Disable() { enabled.Store(false) }
 
 // now is the layer's time source, swappable for deterministic tests.
 var (
@@ -83,13 +73,10 @@ func SetClock(fn func() time.Time) {
 	nowFn = fn
 }
 
-// Reset discards all recorded spans, zeroes every registered metric and
-// clears the live progress state. Metric handles stay registered so
-// package-level instruments survive.
+// Reset zeroes every registered metric and clears the live progress
+// state. Metric handles stay registered so package-level instruments
+// survive.
 func Reset() {
-	tr.mu.Lock()
-	tr.spans = nil
-	tr.mu.Unlock()
 	resetMetrics()
 	resetProgress()
 }

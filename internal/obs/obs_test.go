@@ -12,7 +12,7 @@ import (
 func withEnabled(t *testing.T, fn func()) {
 	t.Helper()
 	Reset()
-	Enable()
+	EnableMetrics()
 	defer func() {
 		Disable()
 		Reset()
@@ -20,9 +20,32 @@ func withEnabled(t *testing.T, fn func()) {
 	fn()
 }
 
+// traced opens a fresh trace for the test; spans are recorded only
+// under one. The layer must be enabled.
+func traced(t *testing.T) (context.Context, *Trace) {
+	t.Helper()
+	ctx, tr := StartTrace(context.Background(), t.Name())
+	if tr == nil {
+		t.Fatal("StartTrace returned nil while enabled")
+	}
+	return ctx, tr
+}
+
+// named filters spans by name, keeping their order.
+func named(spans []*Span, name string) []*Span {
+	var out []*Span
+	for _, sp := range spans {
+		if sp.Name == name {
+			out = append(out, sp)
+		}
+	}
+	return out
+}
+
 func TestSpanNestingAndOrdering(t *testing.T) {
 	withEnabled(t, func() {
-		ctx, root := Start(context.Background(), "root")
+		ctx, tr := traced(t)
+		ctx, root := Start(ctx, "root")
 		cctx, child := Start(ctx, "child")
 		_, grand := Start(cctx, "grandchild")
 		grand.End()
@@ -31,7 +54,7 @@ func TestSpanNestingAndOrdering(t *testing.T) {
 		sib.End()
 		root.End()
 
-		spans := Spans()
+		spans := tr.Snapshot()
 		if len(spans) != 4 {
 			t.Fatalf("spans = %d, want 4", len(spans))
 		}
@@ -63,7 +86,8 @@ func TestSpanNestingAndOrdering(t *testing.T) {
 
 func TestSpanAttrs(t *testing.T) {
 	withEnabled(t, func() {
-		_, sp := Start(context.Background(), "x")
+		ctx, _ := traced(t)
+		_, sp := Start(ctx, "x")
 		sp.SetInt("i", 7)
 		sp.SetFloat("f", 2.5)
 		sp.SetStr("s", "hello")
@@ -89,9 +113,10 @@ func TestSpanAttrs(t *testing.T) {
 }
 
 func TestDisabledFastPath(t *testing.T) {
+	EnableMetrics()
+	ctx, tr := traced(t)
 	Disable()
 	Reset()
-	ctx := context.Background()
 	ctx2, sp := Start(ctx, "never")
 	if sp != nil {
 		t.Fatal("Start returned a span while disabled")
@@ -109,7 +134,7 @@ func TestDisabledFastPath(t *testing.T) {
 	if d := sp.Duration(); d != 0 {
 		t.Fatalf("nil span duration = %v", d)
 	}
-	if n := len(Spans()); n != 0 {
+	if n := len(tr.Snapshot()); n != 0 {
 		t.Fatalf("recorded %d spans while disabled", n)
 	}
 	c := NewCounter("test.disabled_counter")
@@ -169,14 +194,9 @@ func TestCounterIdentity(t *testing.T) {
 
 func TestResetClearsData(t *testing.T) {
 	withEnabled(t, func() {
-		_, sp := Start(context.Background(), "x")
-		sp.End()
 		c := NewCounter("test.reset")
 		c.Add(3)
 		Reset()
-		if len(Spans()) != 0 {
-			t.Fatal("spans survived Reset")
-		}
 		if c.Value() != 0 {
 			t.Fatal("counter survived Reset")
 		}
@@ -258,7 +278,8 @@ func TestSetClock(t *testing.T) {
 			return base.Add(time.Duration(tick) * time.Millisecond)
 		})
 		defer SetClock(nil)
-		_, sp := Start(context.Background(), "timed")
+		ctx, _ := traced(t)
+		_, sp := Start(ctx, "timed")
 		sp.End()
 		if sp.Duration() != time.Millisecond {
 			t.Fatalf("duration = %v, want 1ms", sp.Duration())
@@ -268,18 +289,18 @@ func TestSetClock(t *testing.T) {
 
 // TestConcurrentSpanProducers is the audit test for the parallel sweep
 // engine: many goroutines opening span trees, annotating them, and
-// updating metrics at once, with concurrent Spans()/Snapshot() readers.
-// The contract it pins down (and -race enforces):
+// updating metrics at once, with concurrent Trace.Snapshot()/Snapshot()
+// readers. The contract it pins down (and -race enforces):
 //
-//   - Start/End on distinct spans is safe from any goroutine; the span
-//     sink serializes registration internally.
+//   - Start/End on distinct spans is safe from any goroutine; the trace
+//     serializes registration internally.
 //   - A span's attribute setters are NOT synchronized — each span must
 //     stay owned by one goroutine, which the sweep engine guarantees by
 //     giving every worker its own "sweep.worker" span.
 //   - Parentage is taken from the context, so concurrent children of a
 //     shared parent span are safe: the parent is only read.
 func TestConcurrentSpanProducers(t *testing.T) {
-	Enable()
+	EnableMetrics()
 	defer Disable()
 	Reset()
 
@@ -288,7 +309,8 @@ func TestConcurrentSpanProducers(t *testing.T) {
 
 	const producers = 8
 	const perProducer = 50
-	ctx, root := Start(context.Background(), "concurrent.root")
+	ctx, tr := traced(t)
+	ctx, root := Start(ctx, "concurrent.root")
 
 	var wg sync.WaitGroup
 	for pi := 0; pi < producers; pi++ {
@@ -313,7 +335,7 @@ func TestConcurrentSpanProducers(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				_ = Spans()
+				_ = tr.Snapshot()
 				_ = Snapshot()
 			}
 		}()
@@ -324,7 +346,8 @@ func TestConcurrentSpanProducers(t *testing.T) {
 	if got := c.Value(); got != producers*perProducer {
 		t.Fatalf("counter = %d, want %d", got, producers*perProducer)
 	}
-	workers := SpansNamed("concurrent.worker")
+	spans := tr.Snapshot()
+	workers := named(spans, "concurrent.worker")
 	if len(workers) != producers {
 		t.Fatalf("worker spans = %d, want %d", len(workers), producers)
 	}
@@ -335,7 +358,7 @@ func TestConcurrentSpanProducers(t *testing.T) {
 		}
 		workerIDs[w.ID] = true
 	}
-	items := SpansNamed("concurrent.item")
+	items := named(spans, "concurrent.item")
 	if len(items) != producers*perProducer {
 		t.Fatalf("item spans = %d, want %d", len(items), producers*perProducer)
 	}

@@ -7,19 +7,18 @@ import (
 	"time"
 )
 
-// maxTraceSpans bounds one request's span tree. A single solve produces
+// maxTraceSpans bounds one trace's span tree. A single solve produces
 // tens of spans (model gen, solver rounds, shrink, compile, simulate);
-// a sweep-heavy request can produce thousands. Beyond the cap the trace
-// keeps what it has and counts the rest, so one pathological request
-// cannot grow without bound inside the trace store.
+// a sweep-heavy request or CLI run can produce thousands. Beyond the cap
+// the trace keeps what it has and counts the rest, so one pathological
+// request cannot grow without bound inside the trace store.
 const maxTraceSpans = 2048
 
-// Trace collects the span tree of one request. Unlike the process-wide
-// sink (Spans), a Trace is carried by context from the serving layer
-// down through analysis, the solver rounds, sweep workers and
-// evaluation, so every span opened under the request's context lands in
-// this one tree — per-request attribution instead of anonymous global
-// spans.
+// Trace collects the span tree of one request or CLI run, and is the
+// only place spans are recorded. It is carried by context from the
+// serving layer (or cmd/eatss's main) down through analysis, the solver
+// rounds, sweep workers and evaluation, so every span opened under the
+// traced context lands in this one tree.
 //
 // Finished spans are snapshotted into the trace by End on the owning
 // goroutine (the only goroutine allowed to touch a span's attributes),
@@ -44,7 +43,7 @@ type openSpan struct {
 
 type traceKey struct{}
 
-// StartTrace opens a per-request trace with the given ID and returns a
+// StartTrace opens a trace with the given ID and returns a
 // derived context carrying it: every span subsequently opened under
 // that context (directly or via parent spans) is collected into the
 // trace. When the layer is disabled or the ID is empty it returns ctx

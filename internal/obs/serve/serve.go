@@ -3,7 +3,9 @@
 // Prometheus scraper, or a Chrome trace viewer) can watch it from
 // outside the process. All endpoints are read-only snapshots of the
 // obs/flight state; serving costs nothing to the instrumented hot
-// paths beyond what the obs layer already pays.
+// paths beyond what the obs layer already pays. Spans exist only inside
+// obs traces, so span trees are served per request at /debug/requests
+// (cmd/eatss writes its own run's tree with -trace and -summary).
 //
 // Endpoints:
 //
@@ -13,7 +15,6 @@
 //	           exemplars on histogram buckets
 //	/progress  JSON live view: sweep points done/total + ETA, cache
 //	           hit rate, and the solver's current incumbent objective
-//	/trace     Chrome-trace JSON of the span tree recorded so far
 //	/flight    flight-recorder ring buffer dump (JSON);
 //	           ?trace=<id> keeps only that request's events
 //	/profile   latest published energy-attribution profile (JSON);
@@ -49,7 +50,6 @@ func Handler() http.Handler {
 	mux.HandleFunc("/", handleIndex)
 	mux.HandleFunc("/metrics", handleMetrics)
 	mux.HandleFunc("/progress", handleProgress)
-	mux.HandleFunc("/trace", handleTrace)
 	mux.HandleFunc("/flight", handleFlight)
 	mux.HandleFunc("/profile", handleProfile)
 	mux.HandleFunc("/debug/requests", handleRequests)
@@ -118,7 +118,6 @@ func handleIndex(w http.ResponseWriter, r *http.Request) {
 	io.WriteString(w, "eatss introspection endpoints:\n"+
 		"  /metrics   Prometheus text exposition (incl. process health)\n"+
 		"  /progress  live sweep/solve progress (JSON)\n"+
-		"  /trace     Chrome trace of recorded spans\n"+
 		"  /flight    flight-recorder dump (JSON; ?trace=<id> filters)\n"+
 		"  /profile   latest energy-attribution profile (?view=surface|report)\n"+
 		"  /debug/requests  tail-sampled request traces (?trace=<id>&view=tree|chrome)\n"+
@@ -129,13 +128,6 @@ func handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	updateHealthMetrics()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	WritePrometheus(w, obs.Snapshot())
-}
-
-func handleTrace(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := obs.WriteChromeTrace(w); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
 }
 
 func handleFlight(w http.ResponseWriter, r *http.Request) {

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"context"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -65,11 +64,11 @@ func (a Attr) Value() any {
 // Span is one recorded pipeline phase. The zero ID is "no parent".
 // A span is owned by the goroutine that started it; attribute setters
 // are not synchronized. Concurrent producers are otherwise safe: Start
-// serializes registration in the process-wide sink and only reads the
-// parent span from the context, so many goroutines may open children of
-// a shared parent at once — the pattern the parallel sweep engine uses,
-// giving each pool worker its own "sweep.worker" child span to annotate
-// (see TestConcurrentSpanProducers).
+// only reads the parent span from the context and its Trace serializes
+// registration, so many goroutines may open children of a shared parent
+// at once — the pattern the parallel sweep engine uses, giving each pool
+// worker its own "sweep.worker" child span to annotate (see
+// TestConcurrentSpanProducers).
 type Span struct {
 	ID      uint64
 	Parent  uint64
@@ -77,32 +76,25 @@ type Span struct {
 	StartAt time.Time
 	EndAt   time.Time
 	Attrs   []Attr
-	// TraceID is the request trace the span belongs to ("" = none).
+	// TraceID is the ID of the trace the span belongs to.
 	TraceID string
 
-	// trace is the per-request collector the span reports to on End.
+	// trace is the collector the span reports to on End.
 	trace *Trace
 }
 
 type ctxKey struct{}
 
-// tracer is the process-wide span sink.
-var tr struct {
-	mu    sync.Mutex
-	spans []*Span
-	next  atomic.Uint64
-}
+// nextSpanID numbers spans process-wide, so IDs stay unique across
+// traces (the flight recorder interleaves events of concurrent traces).
+var nextSpanID atomic.Uint64
 
 // Start opens a span named name as a child of the span carried by ctx
-// (if any) and returns a derived context carrying the new span. When the
-// layer is disabled it returns ctx unchanged and a nil span — the
-// zero-cost fast path; all Span methods accept a nil receiver.
-//
-// A span records into up to two sinks: the process-wide sink (when
-// spanCapture is on — the CLI -trace mode) and the per-request Trace
-// carried by ctx (when the serving layer opened one via StartTrace).
-// With metrics on but neither sink present — a daemon request with
-// tracing disabled — Start stays allocation-free.
+// (if any) and returns a derived context carrying the new span. The
+// span is recorded into the Trace carried by ctx (opened by StartTrace,
+// directly or via the parent span). When the layer is disabled or ctx
+// carries no trace it returns ctx unchanged and a nil span — the
+// allocation-free fast path; all Span methods accept a nil receiver.
 func Start(ctx context.Context, name string) (context.Context, *Span) {
 	if !enabled.Load() {
 		return ctx, nil
@@ -114,8 +106,7 @@ func Start(ctx context.Context, name string) (context.Context, *Span) {
 	} else {
 		t, _ = ctx.Value(traceKey{}).(*Trace)
 	}
-	capture := spanCapture.Load()
-	if t == nil && !capture {
+	if t == nil {
 		return ctx, nil
 	}
 	var parentID uint64
@@ -123,21 +114,14 @@ func Start(ctx context.Context, name string) (context.Context, *Span) {
 		parentID = parent.ID
 	}
 	sp := &Span{
-		ID:      tr.next.Add(1),
+		ID:      nextSpanID.Add(1),
 		Parent:  parentID,
 		Name:    name,
 		StartAt: now(),
+		TraceID: t.id,
 		trace:   t,
 	}
-	if t != nil {
-		sp.TraceID = t.id
-		t.spanBegin(sp)
-	}
-	if capture {
-		tr.mu.Lock()
-		tr.spans = append(tr.spans, sp)
-		tr.mu.Unlock()
-	}
+	t.spanBegin(sp)
 	flight.Default.SpanBegin(sp.ID, parentID, name, sp.TraceID)
 	return context.WithValue(ctx, ctxKey{}, sp), sp
 }
@@ -151,14 +135,13 @@ func FromContext(ctx context.Context) *Span {
 }
 
 // End stamps the span's end time, snapshotting the span into its
-// request trace (if any). Ending a nil or already-ended span is a
-// no-op.
+// trace. Ending a nil or already-ended span is a no-op.
 func (s *Span) End() {
 	if s == nil || !s.EndAt.IsZero() {
 		return
 	}
 	s.EndAt = now()
-	if s.trace != nil {
+	if s.trace != nil { // nil on the copies a Trace snapshot holds
 		s.trace.spanEnd(s)
 	}
 	flight.Default.SpanEnd(s.ID, s.Name, s.EndAt.Sub(s.StartAt), s.TraceID)
@@ -224,25 +207,4 @@ func (s *Span) Attr(key string) (Attr, bool) {
 		}
 	}
 	return Attr{}, false
-}
-
-// Spans returns the recorded spans in start order. The returned slice is
-// a copy; the spans themselves are shared, so callers should read them
-// only after the traced work has finished.
-func Spans() []*Span {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	return append([]*Span(nil), tr.spans...)
-}
-
-// SpansNamed returns the recorded spans with the given name, in start
-// order.
-func SpansNamed(name string) []*Span {
-	var out []*Span
-	for _, sp := range Spans() {
-		if sp.Name == name {
-			out = append(out, sp)
-		}
-	}
-	return out
 }

@@ -328,6 +328,12 @@ func (s *Server) do(ctx context.Context, req *Request) *Response {
 	if err != nil {
 		return fail(resp, http.StatusBadRequest, StatusError, err)
 	}
+	// A fraction under one thread of the warp would be silently rounded
+	// up to a one-thread alignment step.
+	if req.WarpFrac != nil && *req.WarpFrac*float64(g.ThreadsPerWarp) < 1 {
+		return fail(resp, http.StatusBadRequest, StatusError,
+			fmt.Errorf("warpfrac %g is below one thread of %s's %d-thread warp", *req.WarpFrac, g.Name, g.ThreadsPerWarp))
+	}
 	eval, err := eatss.ParseEvaluator(req.Evaluator)
 	if err != nil {
 		return fail(resp, http.StatusBadRequest, StatusError, err)

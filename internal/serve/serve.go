@@ -170,8 +170,8 @@ func New(cfg Config) *Server {
 }
 
 // Handler returns the service mux: the /v1 JSON API, /healthz, and the
-// live-introspection endpoints (/metrics, /progress, /trace, /flight,
-// /profile, pprof) from internal/obs/serve.
+// live-introspection endpoints (/metrics, /progress, /flight, /profile,
+// /debug/requests, pprof) from internal/obs/serve.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	for _, op := range ops {

@@ -383,6 +383,11 @@ func TestRequestValidation(t *testing.T) {
 		{"huge warpfrac", "/v1/simulate", `{"kernel":"gemm","warpfrac":1e308}`, http.StatusBadRequest},
 		{"zero warpfrac", "/v1/solve", `{"kernel":"gemm","warpfrac":0}`, http.StatusBadRequest},
 		{"warpfrac 1", "/v1/solve", `{"kernel":"gemm","warpfrac":1}`, http.StatusOK},
+		// Below one thread of GA100's 32-thread warp: rejected, not
+		// rounded up to a one-thread alignment step.
+		{"subthread warpfrac", "/v1/solve", `{"kernel":"gemm","warpfrac":1e-300}`, http.StatusBadRequest},
+		{"warpfrac just under a thread", "/v1/simulate", `{"kernel":"gemm","warpfrac":0.03}`, http.StatusBadRequest},
+		{"warpfrac one thread", "/v1/solve", `{"kernel":"gemm","warpfrac":0.03125}`, http.StatusOK},
 		{"empty batch", "/v1/batch", `{"requests":[]}`, http.StatusBadRequest},
 		// Regression: a null batch entry decoded to a nil *Request and
 		// panicked inside a handler-spawned goroutine, crashing the whole

@@ -110,12 +110,24 @@ func TestMapEmpty(t *testing.T) {
 	}
 }
 
+// spansNamed filters a trace's spans by name, keeping their order.
+func spansNamed(tr *obs.Trace, name string) []*obs.Span {
+	var out []*obs.Span
+	for _, sp := range tr.Snapshot() {
+		if sp.Name == name {
+			out = append(out, sp)
+		}
+	}
+	return out
+}
+
 func TestMapWorkerSpans(t *testing.T) {
-	obs.Enable()
+	obs.EnableMetrics()
 	defer obs.Disable()
 	obs.Reset()
 
-	ctx, root := obs.Start(context.Background(), "test.sweep")
+	ctx, tr := obs.StartTrace(context.Background(), t.Name())
+	ctx, root := obs.Start(ctx, "test.sweep")
 	items := make([]int, 32)
 	_, _, err := Map(ctx, 4, items, func(wctx context.Context, i int, _ int) int {
 		_, sp := obs.Start(wctx, "test.eval")
@@ -127,7 +139,7 @@ func TestMapWorkerSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	workers := obs.SpansNamed("sweep.worker")
+	workers := spansNamed(tr, "sweep.worker")
 	if len(workers) == 0 || len(workers) > 4 {
 		t.Fatalf("worker spans = %d, want 1..4", len(workers))
 	}
@@ -138,7 +150,7 @@ func TestMapWorkerSpans(t *testing.T) {
 		}
 		workerIDs[w.ID] = true
 	}
-	evals := obs.SpansNamed("test.eval")
+	evals := spansNamed(tr, "test.eval")
 	if len(evals) != len(items) {
 		t.Fatalf("eval spans = %d, want %d", len(evals), len(items))
 	}
@@ -150,19 +162,21 @@ func TestMapWorkerSpans(t *testing.T) {
 }
 
 // TestMapHammer drives many concurrent sweeps with tracing and metrics
-// enabled; it exists to run under -race (the Makefile check gate).
+// enabled, all recording into one trace; it exists to run under -race
+// (the Makefile check gate).
 func TestMapHammer(t *testing.T) {
-	obs.Enable()
+	obs.EnableMetrics()
 	defer obs.Disable()
 	obs.Reset()
 	c := obs.NewCounter("sweep.test.hammer")
+	tctx, _ := obs.StartTrace(context.Background(), t.Name())
 
 	var wg sync.WaitGroup
 	for s := 0; s < 8; s++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ctx, root := obs.Start(context.Background(), "hammer.sweep")
+			ctx, root := obs.Start(tctx, "hammer.sweep")
 			items := make([]int, 50)
 			_, _, _ = Map(ctx, 4, items, func(wctx context.Context, i int, _ int) int {
 				_, sp := obs.Start(wctx, "hammer.eval")

@@ -1,6 +1,6 @@
 package eatss_test
 
-// End-to-end observability tests: an enabled run of the real pipeline
+// End-to-end observability tests: a traced run of the real pipeline
 // must produce the span tree and metrics the paper's Sec. V-G
 // measurements are read from.
 
@@ -18,7 +18,7 @@ import (
 func withObs(t *testing.T, fn func()) {
 	t.Helper()
 	obs.Reset()
-	obs.Enable()
+	obs.EnableMetrics()
 	defer func() {
 		obs.Disable()
 		obs.Reset()
@@ -26,11 +26,34 @@ func withObs(t *testing.T, fn func()) {
 	fn()
 }
 
+// traced opens a fresh trace for the test: spans are recorded only
+// under one. The layer must be enabled.
+func traced(t *testing.T) (context.Context, *obs.Trace) {
+	t.Helper()
+	ctx, tr := obs.StartTrace(context.Background(), t.Name())
+	if tr == nil {
+		t.Fatal("StartTrace returned nil while enabled")
+	}
+	return ctx, tr
+}
+
+// spansNamed returns tr's spans with the given name, in start order.
+func spansNamed(tr *obs.Trace, name string) []*obs.Span {
+	var out []*obs.Span
+	for _, sp := range tr.Snapshot() {
+		if sp.Name == name {
+			out = append(out, sp)
+		}
+	}
+	return out
+}
+
 func TestSelectTilesEmitsSolverRoundSpans(t *testing.T) {
 	withObs(t, func() {
 		prog := stage(t, eatss.MustKernel("gemm"), nil)
 		g := eatss.GA100()
-		ctx, root := obs.Start(context.Background(), "test.pipeline")
+		ctx, tr := traced(t)
+		ctx, root := obs.Start(ctx, "test.pipeline")
 		sel, err := prog.SelectTilesCtx(ctx, g, eatss.DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
@@ -42,12 +65,12 @@ func TestSelectTilesEmitsSolverRoundSpans(t *testing.T) {
 		// trajectory is strictly increasing. The shrink pass re-solves
 		// under its own span with a different objective, so restrict to
 		// the rounds parented under core.solve.
-		solves := obs.SpansNamed("core.solve")
+		solves := spansNamed(tr, "core.solve")
 		if len(solves) != 1 {
 			t.Fatalf("core.solve spans = %d, want 1", len(solves))
 		}
 		var objectives []int64
-		for _, sp := range obs.SpansNamed("smt.round") {
+		for _, sp := range spansNamed(tr, "smt.round") {
 			if sp.Parent != solves[0].ID {
 				continue
 			}
@@ -71,14 +94,14 @@ func TestSelectTilesEmitsSolverRoundSpans(t *testing.T) {
 		}
 
 		// The selection tree must hang off the caller's span.
-		sels := obs.SpansNamed("core.select_tiles")
+		sels := spansNamed(tr, "core.select_tiles")
 		if len(sels) != 1 {
 			t.Fatalf("core.select_tiles spans = %d, want 1", len(sels))
 		}
 		if sels[0].Parent != root.ID {
 			t.Fatalf("core.select_tiles parent = %d, want %d", sels[0].Parent, root.ID)
 		}
-		if len(obs.SpansNamed("core.model_gen")) != 1 {
+		if len(spansNamed(tr, "core.model_gen")) != 1 {
 			t.Fatal("missing core.model_gen span")
 		}
 	})
@@ -87,7 +110,8 @@ func TestSelectTilesEmitsSolverRoundSpans(t *testing.T) {
 func TestPipelinePhasesAndMetrics(t *testing.T) {
 	withObs(t, func() {
 		g := eatss.GA100()
-		ctx, root := obs.Start(context.Background(), "test.pipeline")
+		ctx, tr := traced(t)
+		ctx, root := obs.Start(ctx, "test.pipeline")
 		prog, err := eatss.AnalyzeCtx(ctx, eatss.MustKernel("gemm"), nil)
 		if err != nil {
 			t.Fatal(err)
@@ -104,16 +128,17 @@ func TestPipelinePhasesAndMetrics(t *testing.T) {
 		// The acceptance phases: model generation, solver rounds,
 		// compilation, simulation.
 		for _, phase := range []string{"core.model_gen", "smt.round", "ppcg.compile", "codegen.map_nest", "gpusim.simulate", "gpusim.nest"} {
-			if len(obs.SpansNamed(phase)) == 0 {
+			if len(spansNamed(tr, phase)) == 0 {
 				t.Errorf("missing %s span", phase)
 			}
 		}
 		// Every span must be finished and properly parented.
+		spans := tr.Snapshot()
 		byID := make(map[uint64]bool)
-		for _, sp := range obs.Spans() {
+		for _, sp := range spans {
 			byID[sp.ID] = true
 		}
-		for _, sp := range obs.Spans() {
+		for _, sp := range spans {
 			if sp.EndAt.IsZero() {
 				t.Errorf("span %s never ended", sp.Name)
 			}

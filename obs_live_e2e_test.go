@@ -44,10 +44,10 @@ type progressDoc struct {
 // full gemm paper-space sweep, and scrape the endpoints from the
 // outside while the sweep runs. /progress must report the sweep with a
 // monotone non-decreasing done count that lands exactly on the space
-// size; /metrics must be well-formed Prometheus text; /flight and
-// /trace must decode as JSON carrying the recorded events and spans.
+// size; /metrics must be well-formed Prometheus text; /flight must
+// decode as JSON carrying the recorded events.
 func TestIntrospectionServerDuringSweep(t *testing.T) {
-	obs.Enable()
+	obs.EnableMetrics()
 	defer obs.Disable()
 	obs.Reset()
 	flight.Default.Enable()
@@ -139,16 +139,6 @@ func TestIntrospectionServerDuringSweep(t *testing.T) {
 
 	if kinds := flightKinds(t, base); !kinds["sweep_point"] {
 		t.Fatalf("/flight has no sweep_point event after a sweep; kinds seen: %v", kinds)
-	}
-
-	var trace struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(get(t, base+"/trace"), &trace); err != nil {
-		t.Fatalf("/trace is not JSON: %v", err)
-	}
-	if len(trace.TraceEvents) == 0 {
-		t.Fatal("/trace carries no span events")
 	}
 }
 

@@ -140,17 +140,26 @@ func candidateDiff(w, g Candidate) string {
 }
 
 // candidateSpans returns the attributes the protocol records per split
-// on the eatss.candidate children of the one eatss.select_best span,
-// keyed by the child's split attribute.
-func candidateSpans(t *testing.T) map[float64]map[string]any {
+// on the eatss.candidate children of the one eatss.select_best span in
+// tr, keyed by the child's split attribute.
+func candidateSpans(t *testing.T, tr *obs.Trace) map[float64]map[string]any {
 	t.Helper()
-	roots := obs.SpansNamed("eatss.select_best")
+	if n := tr.Dropped(); n != 0 {
+		t.Fatalf("trace dropped %d spans", n)
+	}
+	spans := tr.Snapshot()
+	var roots []*obs.Span
+	for _, sp := range spans {
+		if sp.Name == "eatss.select_best" {
+			roots = append(roots, sp)
+		}
+	}
 	if len(roots) != 1 {
 		t.Fatalf("%d eatss.select_best spans, want 1", len(roots))
 	}
 	out := make(map[float64]map[string]any)
-	for _, sp := range obs.SpansNamed("eatss.candidate") {
-		if sp.Parent != roots[0].ID {
+	for _, sp := range spans {
+		if sp.Name != "eatss.candidate" || sp.Parent != roots[0].ID {
 			continue
 		}
 		split, ok := sp.Attr("split")
@@ -219,7 +228,7 @@ func TestSelectBestConcurrentParity(t *testing.T) {
 	inputs = append(inputs, input{rec, arch.GA100(), FP64, EvalSimulate})
 
 	obs.Reset()
-	obs.Enable()
+	obs.EnableMetrics()
 	defer func() {
 		obs.Disable()
 		obs.Reset()
@@ -228,12 +237,12 @@ func TestSelectBestConcurrentParity(t *testing.T) {
 	infeasible, failed := 0, 0
 	for _, in := range inputs {
 		id := fmt.Sprintf("%s/%s/%v/%v", in.k.Name, in.g.Name, in.prec, in.eval)
-		obs.Reset()
-		want, werr := selectBestSerial(ctx, analysis.AnalyzeCtx(ctx, in.k, nil), in.g, in.prec, in.eval)
-		wantSpans := candidateSpans(t)
-		obs.Reset()
-		got, gerr := selectBestAnalyzed(ctx, analysis.AnalyzeCtx(ctx, in.k, nil), in.g, in.prec, in.eval)
-		gotSpans := candidateSpans(t)
+		wctx, wtr := obs.StartTrace(ctx, id+"/serial")
+		want, werr := selectBestSerial(wctx, analysis.AnalyzeCtx(wctx, in.k, nil), in.g, in.prec, in.eval)
+		wantSpans := candidateSpans(t, wtr)
+		gctx, gtr := obs.StartTrace(ctx, id+"/concurrent")
+		got, gerr := selectBestAnalyzed(gctx, analysis.AnalyzeCtx(gctx, in.k, nil), in.g, in.prec, in.eval)
+		gotSpans := candidateSpans(t, gtr)
 		if d := bestDiff(want, werr, got, gerr); d != "" {
 			t.Errorf("%s: %s", id, d)
 		}

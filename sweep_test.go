@@ -173,13 +173,14 @@ func TestEvalCacheMemoizes(t *testing.T) {
 
 // TestConcurrentSweepsWithObs hammers the sweep engine from several
 // goroutines with tracing and metrics enabled. It exists to run under
-// -race (the Makefile check gate): it exercises the span sink, the
+// -race (the Makefile check gate): it exercises one shared trace, the
 // metric registry, the shared evaluation cache, and the worker pool all
 // under concurrent producers.
 func TestConcurrentSweepsWithObs(t *testing.T) {
-	obs.Enable()
+	obs.EnableMetrics()
 	defer obs.Disable()
 	obs.Reset()
+	tctx, tr := traced(t)
 
 	k := eatss.MustKernel("mvt")
 	g := eatss.GA100()
@@ -193,7 +194,7 @@ func TestConcurrentSweepsWithObs(t *testing.T) {
 		wg.Add(1)
 		go func(slot int) {
 			defer wg.Done()
-			ctx, root := obs.Start(context.Background(), "test.sweep")
+			ctx, root := obs.Start(tctx, "test.sweep")
 			pts, _ := eatss.ExploreSpaceOpt(ctx, k, g, space, cfg,
 				eatss.SweepOptions{Workers: 3, Cache: cache})
 			root.End()
@@ -207,10 +208,10 @@ func TestConcurrentSweepsWithObs(t *testing.T) {
 			t.Fatalf("concurrent sweep %d diverged", i)
 		}
 	}
-	if spans := obs.SpansNamed("eatss.explore_space"); len(spans) != 6 {
+	if spans := spansNamed(tr, "eatss.explore_space"); len(spans) != 6 {
 		t.Fatalf("explore_space spans = %d, want 6", len(spans))
 	}
-	if workers := obs.SpansNamed("sweep.worker"); len(workers) == 0 {
+	if workers := spansNamed(tr, "sweep.worker"); len(workers) == 0 {
 		t.Fatal("no worker spans recorded")
 	}
 }
@@ -262,7 +263,7 @@ func TestEvalCacheMetricsConcurrentSweep(t *testing.T) {
 // distribution measures evaluation cost, not lookup cost.
 func TestSweepPointLatencyHistogram(t *testing.T) {
 	obs.Reset()
-	obs.Enable()
+	obs.EnableMetrics()
 	defer func() { obs.Disable(); obs.Reset() }()
 	k := eatss.MustKernel("gemm")
 	g := eatss.GA100()
@@ -287,7 +288,7 @@ func TestSweepPointLatencyHistogram(t *testing.T) {
 // publishes a live progress handle whose counters add up and which is
 // marked finished when the sweep returns.
 func TestSweepPublishesLiveProgress(t *testing.T) {
-	obs.Enable()
+	obs.EnableMetrics()
 	defer obs.Disable()
 	obs.Reset()
 
