@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all fmt vet build test race sweep-race obs-bench profile-demo lint-gate selfcheck symbolic-parity symbolic-bench bench-module check clean
+.PHONY: all fmt vet build test race sweep-race obs-bench profile-demo lint-gate selfcheck symbolic-parity symbolic-bench bench-module golden-repeat check clean
 
 all: check
 
@@ -101,15 +101,22 @@ selfcheck:
 bench-module:
 	cd cmd/bench && $(GO) vet ./... && $(GO) test -count=1 ./...
 
+# golden-repeat runs every golden test (each one's name contains
+# "Golden") twice in one process, so a golden that depends on what ran
+# earlier in the process, such as an ID from a process-wide counter,
+# fails here rather than only when tests are repeated or reordered.
+golden-repeat:
+	$(GO) test -count=2 -run Golden ./...
+
 # check is the gate a change must pass before it lands: formatting,
 # static analysis (go vet plus the repo's own selfcheck analyzer), a full build, the
 # kernel lint gate, the concurrency race gate, the symbolic-backend
 # parity and speedup gates, the zero-cost-observability guard, the
-# attribution-profiler demo, the benchmark module's vet and tests, and the
-# full test suite under the race detector (which holds the
-# staged-compilation, static-feasibility and service-herd gates). It
-# writes no tracked file.
-check: fmt vet build selfcheck lint-gate sweep-race symbolic-parity symbolic-bench obs-bench profile-demo bench-module race
+# attribution-profiler demo, the benchmark module's vet and tests, the
+# golden tests run twice in one process, and the full test suite under
+# the race detector (which holds the staged-compilation,
+# static-feasibility and service-herd gates). It writes no tracked file.
+check: fmt vet build selfcheck lint-gate sweep-race symbolic-parity symbolic-bench obs-bench profile-demo bench-module golden-repeat race
 
 clean:
 	$(GO) clean ./...

@@ -3,6 +3,7 @@ package bench
 import (
 	"sort"
 
+	eatss "repro"
 	"repro/internal/arch"
 )
 
@@ -16,8 +17,8 @@ type Fig2Result struct {
 	Kernel string
 	GPU    string
 
-	Variants []Variant
-	Default  Variant
+	Variants []eatss.SpacePoint
+	Default  eatss.SpacePoint
 
 	// PctBeatDefaultPerf is the fraction (0-100) of variants faster than
 	// the default configuration.
@@ -25,8 +26,8 @@ type Fig2Result struct {
 	// PctBeatDefaultEnergy is the fraction using less energy.
 	PctBeatDefaultEnergy float64
 
-	BestPerf   Variant
-	BestEnergy Variant
+	BestPerf   eatss.SpacePoint
+	BestEnergy eatss.SpacePoint
 	MedianPerf float64
 	MedianEn   float64
 }
@@ -39,7 +40,7 @@ func Fig2(kernel string, g *arch.GPU) *Fig2Result {
 		Kernel:   kernel,
 		GPU:      g.Name,
 		Variants: variants,
-		Default:  Variant{Result: def},
+		Default:  eatss.SpacePoint{Result: def},
 	}
 	if len(variants) == 0 {
 		return out
@@ -55,8 +56,8 @@ func Fig2(kernel string, g *arch.GPU) *Fig2Result {
 	}
 	out.PctBeatDefaultPerf = 100 * float64(nPerf) / float64(len(variants))
 	out.PctBeatDefaultEnergy = 100 * float64(nEn) / float64(len(variants))
-	out.BestPerf = bestBy(variants, func(v Variant) float64 { return v.Result.GFLOPS }, true)
-	out.BestEnergy = bestBy(variants, func(v Variant) float64 { return v.Result.EnergyJ }, false)
+	out.BestPerf = bestBy(variants, func(v eatss.SpacePoint) float64 { return v.Result.GFLOPS }, true)
+	out.BestEnergy = bestBy(variants, func(v eatss.SpacePoint) float64 { return v.Result.EnergyJ }, false)
 	out.MedianPerf = Median(perfOf(variants))
 	out.MedianEn = Median(energyOf(variants))
 	return out
@@ -64,16 +65,16 @@ func Fig2(kernel string, g *arch.GPU) *Fig2Result {
 
 // SortedByPerf returns the variants sorted by descending performance
 // (Fig. 2a's x-axis ordering).
-func (f *Fig2Result) SortedByPerf() []Variant {
-	s := append([]Variant(nil), f.Variants...)
+func (f *Fig2Result) SortedByPerf() []eatss.SpacePoint {
+	s := append([]eatss.SpacePoint(nil), f.Variants...)
 	sort.Slice(s, func(i, j int) bool { return s[i].Result.GFLOPS > s[j].Result.GFLOPS })
 	return s
 }
 
 // SortedByEnergy returns the variants sorted by ascending energy
 // (Fig. 2b's ordering).
-func (f *Fig2Result) SortedByEnergy() []Variant {
-	s := append([]Variant(nil), f.Variants...)
+func (f *Fig2Result) SortedByEnergy() []eatss.SpacePoint {
+	s := append([]eatss.SpacePoint(nil), f.Variants...)
 	sort.Slice(s, func(i, j int) bool { return s[i].Result.EnergyJ < s[j].Result.EnergyJ })
 	return s
 }

@@ -85,19 +85,19 @@ func Fig7(g *arch.GPU, kernels []string) *Fig7Result {
 
 // fig7Row assembles one kernel's comparison row from its sweep and
 // EATSS outcomes.
-func fig7Row(name string, variants []Variant, def eatss.Result, best *eatss.Best) Fig7Row {
+func fig7Row(name string, variants []eatss.SpacePoint, def eatss.Result, best *eatss.Best) Fig7Row {
 	e := best.Chosen.Result
 	return Fig7Row{
 		Kernel:          name,
 		MedPPCGGF:       Median(perfOf(variants)),
 		DefPPCGGF:       def.GFLOPS,
-		BestPPCGGF:      bestBy(variants, func(v Variant) float64 { return v.Result.GFLOPS }, true).Result.GFLOPS,
+		BestPPCGGF:      bestBy(variants, func(v eatss.SpacePoint) float64 { return v.Result.GFLOPS }, true).Result.GFLOPS,
 		MedPPCGJ:        Median(energyOf(variants)),
 		DefPPCGJ:        def.EnergyJ,
-		BestPPCGJ:       bestBy(variants, func(v Variant) float64 { return v.Result.EnergyJ }, false).Result.EnergyJ,
+		BestPPCGJ:       bestBy(variants, func(v eatss.SpacePoint) float64 { return v.Result.EnergyJ }, false).Result.EnergyJ,
 		MedPPCGPPW:      Median(ppwOf(variants)),
 		DefPPCGPPW:      def.PPW,
-		BestPPW:         bestBy(variants, func(v Variant) float64 { return v.Result.PPW }, true).Result.PPW,
+		BestPPW:         bestBy(variants, func(v eatss.SpacePoint) float64 { return v.Result.PPW }, true).Result.PPW,
 		EATSSGF:         e.GFLOPS,
 		EATSSJ:          e.EnergyJ,
 		EATSSPPW:        e.PPW,

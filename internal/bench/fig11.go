@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	eatss "repro"
 	"repro/internal/arch"
 )
 
@@ -50,8 +51,8 @@ func Fig11(g *arch.GPU) *Fig11Result {
 			DefGF:  def.GFLOPS,
 			DefJ:   def.EnergyJ,
 			MedGF:  Median(perf),
-			BestGF: bestBy(variants, func(v Variant) float64 { return v.Result.GFLOPS }, true).Result.GFLOPS,
-			BestJ:  bestBy(variants, func(v Variant) float64 { return v.Result.EnergyJ }, false).Result.EnergyJ,
+			BestGF: bestBy(variants, func(v eatss.SpacePoint) float64 { return v.Result.GFLOPS }, true).Result.GFLOPS,
+			BestJ:  bestBy(variants, func(v eatss.SpacePoint) float64 { return v.Result.EnergyJ }, false).Result.EnergyJ,
 		}
 		if best, err := RunEATSS(name, g, params); err == nil {
 			fk.EATSSGF = best.Chosen.Result.GFLOPS

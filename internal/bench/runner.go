@@ -18,22 +18,6 @@ import (
 // are input-ordered and therefore identical for any setting.
 var Workers int
 
-// Variant pairs a tile configuration with its simulated outcome. Tiles
-// is a defensive copy owned by the variant: mutating it (or the space it
-// was built from) never corrupts other recorded results.
-type Variant struct {
-	Tiles  map[string]int64
-	Result eatss.Result
-}
-
-func cloneTiles(tiles map[string]int64) map[string]int64 {
-	cp := make(map[string]int64, len(tiles))
-	for n, v := range tiles {
-		cp[n] = v
-	}
-	return cp
-}
-
 // SpaceSizesFor returns candidate tile sizes sized so a kernel of the
 // given maximum loop depth yields an exploration space in the paper's
 // 200–800-variant range (Sec. V-A), except depth 3 with paper15=true,
@@ -62,7 +46,7 @@ func SpaceSizesFor(depth int, paper15 bool) []int64 {
 // engine with the process-wide evaluation cache, so points shared
 // between figures (e.g. Fig. 2's 15^3 space is a superset of Fig. 7's)
 // are compiled and simulated once across the whole bench run.
-func Explore(name string, g *arch.GPU, params map[string]int64, useShared bool, paper15 bool) (variants []Variant, def eatss.Result) {
+func Explore(name string, g *arch.GPU, params map[string]int64, useShared bool, paper15 bool) (variants []eatss.SpacePoint, def eatss.Result) {
 	k := affine.MustLookup(name)
 	if params == nil {
 		params = k.Params
@@ -73,11 +57,8 @@ func Explore(name string, g *arch.GPU, params map[string]int64, useShared bool, 
 		return nil, eatss.Result{}
 	}
 	space := eatss.Space(k, SpaceSizesFor(k.MaxDepth(), paper15))
-	pts, _ := prog.ExploreSpaceOpt(context.Background(), g, space, cfg,
+	variants, _ = prog.ExploreSpaceOpt(context.Background(), g, space, cfg,
 		eatss.SweepOptions{Workers: Workers})
-	for _, pt := range pts {
-		variants = append(variants, Variant{Tiles: cloneTiles(pt.Tiles), Result: pt.Result})
-	}
 	def, _, _ = prog.RunCtx(context.Background(), g, eatss.DefaultTiles(k), cfg)
 	return variants, def
 }
@@ -116,7 +97,7 @@ func ParamsFor(name string, g *arch.GPU) map[string]int64 {
 }
 
 // perfOf / energyOf extract metric slices from variants.
-func perfOf(vs []Variant) []float64 {
+func perfOf(vs []eatss.SpacePoint) []float64 {
 	out := make([]float64, len(vs))
 	for i, v := range vs {
 		out[i] = v.Result.GFLOPS
@@ -124,7 +105,7 @@ func perfOf(vs []Variant) []float64 {
 	return out
 }
 
-func energyOf(vs []Variant) []float64 {
+func energyOf(vs []eatss.SpacePoint) []float64 {
 	out := make([]float64, len(vs))
 	for i, v := range vs {
 		out[i] = v.Result.EnergyJ
@@ -132,7 +113,7 @@ func energyOf(vs []Variant) []float64 {
 	return out
 }
 
-func ppwOf(vs []Variant) []float64 {
+func ppwOf(vs []eatss.SpacePoint) []float64 {
 	out := make([]float64, len(vs))
 	for i, v := range vs {
 		out[i] = v.Result.PPW
@@ -141,7 +122,7 @@ func ppwOf(vs []Variant) []float64 {
 }
 
 // bestBy returns the variant maximizing (or minimizing) the metric.
-func bestBy(vs []Variant, metric func(Variant) float64, maximize bool) Variant {
+func bestBy(vs []eatss.SpacePoint, metric func(eatss.SpacePoint) float64, maximize bool) eatss.SpacePoint {
 	best := vs[0]
 	for _, v := range vs[1:] {
 		m := metric(v)

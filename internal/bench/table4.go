@@ -1,6 +1,7 @@
 package bench
 
 import (
+	eatss "repro"
 	"repro/internal/affine"
 	"repro/internal/arch"
 	"repro/internal/cuxx"
@@ -33,7 +34,7 @@ func Table4() *Table4Result {
 	addGemm := func(g *arch.GPU) {
 		params := ParamsFor("gemm", g)
 		variants, _ := Explore("gemm", g, params, true, false)
-		med := medianVariantBy(variants, func(v Variant) float64 { return v.Result.GFLOPS })
+		med := medianVariantBy(variants, func(v eatss.SpacePoint) float64 { return v.Result.GFLOPS })
 		cublas := cuxx.Gemm(g, affine.FP64, params["NI"], params["NJ"], params["NK"])
 		col := Table4Col{
 			Description: "cuBLAS (gemm)", Platform: g.Name,
@@ -53,7 +54,7 @@ func Table4() *Table4Result {
 	g := arch.GA100()
 	params := ParamsFor("conv-2d", g)
 	variants, _ := Explore("conv-2d", g, params, true, false)
-	med := medianVariantBy(variants, func(v Variant) float64 { return v.Result.GFLOPS })
+	med := medianVariantBy(variants, func(v eatss.SpacePoint) float64 { return v.Result.GFLOPS })
 	cudnn := cuxx.Conv2D(g, affine.FP64, params["NI"], params["NJ"], params["KW"])
 	col := Table4Col{
 		Description: "cuDNN (conv-2d)", Platform: g.Name,
@@ -70,9 +71,9 @@ func Table4() *Table4Result {
 }
 
 // medianVariantBy returns the variant whose metric is the space median.
-func medianVariantBy(vs []Variant, metric func(Variant) float64) Variant {
+func medianVariantBy(vs []eatss.SpacePoint, metric func(eatss.SpacePoint) float64) eatss.SpacePoint {
 	if len(vs) == 0 {
-		return Variant{}
+		return eatss.SpacePoint{}
 	}
 	target := Median(func() []float64 {
 		xs := make([]float64, len(vs))

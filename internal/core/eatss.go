@@ -27,6 +27,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -147,10 +148,10 @@ type Selection struct {
 	// every constraint without re-running the search.
 	Witness *smt.Witness
 
-	// problem and objText are the generated formulation, rendered on
-	// demand by Model.
+	// problem and obj are the generated formulation, rendered on demand
+	// by Model.
 	problem *smt.Problem
-	objText string
+	obj     smt.Expr
 }
 
 // Model renders the generated formulation in readable form: the
@@ -160,7 +161,7 @@ func (s *Selection) Model() string {
 	if s.problem == nil {
 		return ""
 	}
-	return s.problem.String() + "(maximize " + s.objText + ")\n"
+	return s.problem.String() + "(maximize " + s.obj.Render(s.problem) + ")\n"
 }
 
 // SelectSplit solves one shared-memory split with the warp-fraction
@@ -198,9 +199,7 @@ type formulation struct {
 	names []string
 	vars  map[string]smt.Var
 	obj   smt.Expr
-	// objText renders obj for Selection.Model.
-	objText string
-	nests   []NestModel
+	nests []NestModel
 }
 
 // modelConfig is the feas.Config whose region is the formulation for
@@ -241,7 +240,6 @@ func formulate(prog *analysis.Program, g *arch.GPU, opts Options) (*formulation,
 
 	// --- per-nest metadata and objective terms ---
 	var objTerms []smt.Expr
-	var objParts []string
 	seenParallelProd := make(map[string]bool)
 	analysis.CountReuseHits(len(prog.Nests))
 	for _, na := range prog.Nests {
@@ -289,7 +287,6 @@ func formulate(prog *analysis.Program, g *arch.GPU, opts Options) (*formulation,
 			nm.H[l.Name] = h
 			if h > 0 {
 				objTerms = append(objTerms, smt.Scale(h, smt.V(f.vars[l.Name])))
-				objParts = append(objParts, fmt.Sprintf("%d*T_%s", h, l.Name))
 			}
 		}
 
@@ -298,19 +295,15 @@ func formulate(prog *analysis.Program, g *arch.GPU, opts Options) (*formulation,
 		if !seenParallelProd[key] {
 			seenParallelProd[key] = true
 			factors := make([]smt.Expr, len(parallel))
-			prod := make([]string, len(parallel))
 			for i, p := range parallel {
 				factors[i] = smt.V(f.vars[p])
-				prod[i] = "T_" + p
 			}
 			objTerms = append(objTerms, smt.Mul(factors...))
-			objParts = append(objParts, strings.Join(prod, "*"))
 		}
 
 		f.nests = append(f.nests, nm)
 	}
 	f.obj = smt.Sum(objTerms...)
-	f.objText = strings.Join(objParts, " + ")
 	return f, nil
 }
 
@@ -320,11 +313,10 @@ func formulate(prog *analysis.Program, g *arch.GPU, opts Options) (*formulation,
 // in the objective — serial loops carrying only temporal reuse — to cut
 // liveness.
 func (f *formulation) objectives() []smt.Expr {
-	inObj := map[smt.Var]bool{}
-	f.obj.CollectVars(inObj)
+	inObj := f.obj.Vars()
 	var shrink []smt.Expr
 	for _, name := range f.names {
-		if !inObj[f.vars[name]] {
+		if !slices.Contains(inObj, f.vars[name]) {
 			shrink = append(shrink, smt.Scale(-1, smt.V(f.vars[name])))
 		}
 	}
@@ -394,7 +386,7 @@ func SelectTilesAnalyzed(ctx context.Context, prog *analysis.Program, g *arch.GP
 		Tiles:   make(map[string]int64, len(f.names)),
 		Nests:   f.nests,
 		problem: p,
-		objText: f.objText,
+		obj:     f.obj,
 	}
 	gen.SetInt("vars", int64(p.NumVars()))
 	gen.SetInt("constraints", int64(p.Constraints()))

@@ -453,8 +453,8 @@ func (r *Region) Feasible(tiles map[string]int64) bool { return r.Check(tiles) =
 // Lower declares the region on a fresh smt.Problem: one RangeVar
 // "T_<loop>" per Bound, in Bounds order, then one labeled LE constraint
 // per Predicate, in emission order. A Term lowers to Mul(vars...),
-// followed by "* C(Coeff)" when Coeff != 1. It is the only place the
-// Sec. IV system becomes solver constraints: the solver's formulation
+// scaled by Coeff when Coeff != 1. It is the only place the Sec. IV
+// system becomes solver constraints: the solver's formulation
 // (internal/core) and UnsatSMT both start from it. vars maps each loop
 // name to its tile variable.
 func (r *Region) Lower() (*smt.Problem, map[string]smt.Var) {
@@ -472,7 +472,7 @@ func (r *Region) Lower() (*smt.Problem, map[string]smt.Var) {
 			}
 			terms[i] = smt.Mul(factors...)
 			if t.Coeff != 1 {
-				terms[i] = smt.Mul(terms[i], smt.C(t.Coeff))
+				terms[i] = smt.Scale(t.Coeff, terms[i])
 			}
 		}
 		p.RequireLabeled(pr.Label, smt.Sum(terms...), smt.LE, smt.C(pr.Cap))

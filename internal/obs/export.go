@@ -154,10 +154,10 @@ type chromeEvent struct {
 // WriteChromeTraceOf writes the given spans (a Trace's Snapshot) as
 // Chrome trace events, so a run's or a request's tree loads in
 // chrome://tracing or ui.perfetto.dev. Each top-level span gets its own
-// track (tid) with descendants nested inside it; timestamps are
-// microseconds relative to the earliest span. The metrics snapshot
-// rides along under the extra "metrics" key, which trace viewers
-// ignore.
+// track (tid 1, 2, ... in snapshot order) with descendants nested inside
+// it; timestamps are microseconds relative to the earliest span. The
+// metrics snapshot rides along under the extra "metrics" key, which
+// trace viewers ignore.
 func WriteChromeTraceOf(w io.Writer, spans []*Span) error {
 	var t0 time.Time
 	for _, sp := range spans {
@@ -166,12 +166,16 @@ func WriteChromeTraceOf(w io.Writer, spans []*Span) error {
 		}
 	}
 	// Track = the span's root ancestor, so parallel candidates render as
-	// separate rows while each pipeline stays properly nested.
+	// separate rows while each pipeline stays properly nested. Tracks are
+	// numbered in the order their roots first appear, not by span ID: IDs
+	// come from a process-wide counter, so they depend on what else ran
+	// in the process.
 	byID := make(map[uint64]*Span, len(spans))
 	for _, sp := range spans {
 		byID[sp.ID] = sp
 	}
-	rootOf := func(sp *Span) uint64 {
+	track := make(map[uint64]uint64)
+	trackOf := func(sp *Span) uint64 {
 		for sp.Parent != 0 {
 			p, ok := byID[sp.Parent]
 			if !ok {
@@ -179,7 +183,10 @@ func WriteChromeTraceOf(w io.Writer, spans []*Span) error {
 			}
 			sp = p
 		}
-		return sp.ID
+		if _, ok := track[sp.ID]; !ok {
+			track[sp.ID] = uint64(len(track) + 1)
+		}
+		return track[sp.ID]
 	}
 	events := make([]chromeEvent, 0, len(spans))
 	for _, sp := range spans {
@@ -191,7 +198,7 @@ func WriteChromeTraceOf(w io.Writer, spans []*Span) error {
 			Ts:   float64(sp.StartAt.Sub(t0)) / float64(time.Microsecond),
 			Dur:  float64(dur) / float64(time.Microsecond),
 			Pid:  1,
-			Tid:  rootOf(sp),
+			Tid:  trackOf(sp),
 			Args: attrMap(sp.Attrs),
 		})
 	}

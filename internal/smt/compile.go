@@ -2,182 +2,51 @@ package smt
 
 import "slices"
 
-// The search decides constraints through a compiled form instead of
-// walking their Expr trees. Each constraint is lowered once per Solver
-// into a check: both sides as flat sums of monomials (poly). At a search
+// The search decides constraints through a compiled form: each
+// constraint becomes a check holding the solver's own copy of its two
+// sides, copied once per Solver into one backing array, so the search
+// reads them from contiguous memory and enforce can rewrite the
+// objective bound in place without touching a caller's Expr. At a search
 // node every check the node decides is specialised to the variable the
 // node assigns: with all other variables fixed (assigned) or at their
 // domain bounds, each side is an affine function α + β·val of the value
 // tried, so a tried value costs a multiply, an add and a compare per
 // check (spec). The decisions are exactly those of Constraint.Holds and
-// the interval lookahead over Expr.Bounds (but see arena.lower on
-// products of sums), so the search visits the same nodes and counts the
-// same prunes as a tree-walking search would.
+// the interval lookahead over Expr.Bounds, so the search visits the same
+// nodes and counts the same prunes as a search evaluating the
+// constraints directly would.
 
-// poly is an expression lowered to a flat sum of monomials: monomial t
-// is coef[t] times the product of vars[start[t]:start[t+1]], a variable
-// repeated once per occurrence.
-type poly struct {
-	coef  []int64
-	start []int32
-	vars  []int32
-}
-
-// size returns the number of monomials in e's lowering and the number
-// of variable occurrences across them.
-func size(e Expr) (terms, occ int) {
-	switch e := e.(type) {
-	case constExpr:
-		return 1, 0
-	case varExpr:
-		return 1, 1
-	case sumExpr:
-		for _, t := range e.terms {
-			tt, to := size(t)
-			terms, occ = terms+tt, occ+to
-		}
-	case mulExpr:
-		terms = 1
-		for _, f := range e.factors {
-			ft, fo := size(f)
-			terms, occ = terms*ft, occ*ft+fo*terms
-		}
+// compile appends cons to dst as checks, their sides and variable lists
+// copied into one backing array per element type, and leaves room for
+// one more check.
+func compile(dst []check, cons []Constraint) []check {
+	var nc, ni int
+	for _, c := range cons {
+		nc += len(c.L.coef) + len(c.R.coef)
+		ni += len(c.L.idx) + len(c.R.idx) + len(c.L.occs()) + len(c.R.occs())
 	}
-	return terms, occ
-}
-
-// arena packs the polys of one Solver into shared backing arrays, sized
-// up front by reserve, so lowering a formulation allocates a handful of
-// slices instead of several per constraint.
-type arena struct {
-	coef []int64
-	idx  []int32 // monomial starts and variable indices
-	buf  []int32 // lower's backtracking buffer
-}
-
-// reserve sizes the arena for lowering es (and, for constraints, their
-// distinct-variable lists).
-func (a *arena) reserve(es ...Expr) {
-	var terms, idx int
-	for _, e := range es {
-		t, o := size(e)
-		terms, idx = terms+t, idx+t+1+2*o // starts, vars, and a check's distinct vars
+	coef, idx := make([]int64, 0, nc), make([]int32, 0, ni)
+	cp := func(e Expr) Expr {
+		nc, ni := len(coef), len(idx)
+		coef, idx = append(coef, e.coef...), append(idx, e.idx...)
+		return Expr{coef: coef[nc:len(coef):len(coef)], idx: idx[ni:len(idx):len(idx)]}
 	}
-	a.coef = make([]int64, terms)
-	a.idx = make([]int32, idx)
-	if a.buf == nil {
-		a.buf = make([]int32, 0, 16)
+	dst = slices.Grow(dst, len(cons)+1)
+	for _, c := range cons {
+		k := check{l: cp(c.L), r: cp(c.R), op: c.Op}
+		n := len(idx)
+		idx = append(append(idx, c.L.occs()...), c.R.occs()...)
+		vs := idx[n:]
+		slices.Sort(vs)
+		vs = slices.Compact(vs)
+		k.vars = vs[:len(vs):len(vs)]
+		dst = append(dst, k)
 	}
+	return dst
 }
 
-// take carves an empty slice of capacity n off the front of s.
-func take[T any](s *[]T, n int) []T {
-	if n > len(*s) {
-		return make([]T, 0, n)
-	}
-	out := (*s)[:0:n]
-	*s = (*s)[n:]
-	return out
-}
-
-// lower flattens e into a poly packed into the arena. A product of sums
-// is distributed, which is exact for evaluation (int64 arithmetic is a
-// ring, wrap-around included) but can widen interval bounds (interval
-// arithmetic is only subdistributive): the search stays sound and finds
-// the same models, yet may prune less than the tree would. The
-// formulations core and feas build never multiply a sum by a variable.
-func (a *arena) lower(e Expr) poly {
-	t, o := size(e)
-	p := poly{coef: take(&a.coef, t), start: take(&a.idx, t+1), vars: take(&a.idx, o)}
-	p.start = append(p.start, 0)
-	p.add(e, 1, a.buf[:0])
-	return p
-}
-
-// lowerCheck lowers c, packing it into the arena.
-func (a *arena) lowerCheck(c Constraint) check {
-	k := check{l: a.lower(c.L), r: a.lower(c.R), op: c.Op}
-	k.vars = take(&a.idx, len(k.l.vars)+len(k.r.vars))
-	k.vars = append(append(k.vars, k.l.vars...), k.r.vars...)
-	slices.Sort(k.vars)
-	k.vars = slices.Compact(k.vars)
-	return k
-}
-
-// emit appends the monomial c·Π vs.
-func (p *poly) emit(c int64, vs []int32) {
-	p.coef = append(p.coef, c)
-	p.vars = append(p.vars, vs...)
-	p.start = append(p.start, int32(len(p.vars)))
-}
-
-// add appends the monomials of c·Π vs·e. vs is a backtracking buffer:
-// branches append to it in turn, and emit copies it out.
-func (p *poly) add(e Expr, c int64, vs []int32) {
-	switch e := e.(type) {
-	case constExpr:
-		p.emit(c*e.v, vs)
-	case varExpr:
-		p.emit(c, append(vs, int32(e.v)))
-	case sumExpr:
-		for _, t := range e.terms {
-			p.add(t, c, vs)
-		}
-	case mulExpr:
-		p.mul(e.factors, c, vs)
-	}
-}
-
-// mul appends the monomials of c·Π vs·Π fs.
-func (p *poly) mul(fs []Expr, c int64, vs []int32) {
-	if len(fs) == 0 {
-		p.emit(c, vs)
-		return
-	}
-	switch f := fs[0].(type) {
-	case constExpr:
-		p.mul(fs[1:], c*f.v, vs)
-	case varExpr:
-		p.mul(fs[1:], c, append(vs, int32(f.v)))
-	case mulExpr:
-		p.mul(append(append(make([]Expr, 0, len(f.factors)+len(fs)-1), f.factors...), fs[1:]...), c, vs)
-	case sumExpr:
-		for _, t := range f.terms {
-			p.mul(append([]Expr{t}, fs[1:]...), c, vs)
-		}
-	}
-}
-
-// eval evaluates p under a complete assignment, bit-identically to
-// Expr.Eval on the expression it was lowered from.
-func (p *poly) eval(m []int64) int64 {
-	var s int64
-	for t, c := range p.coef {
-		for _, v := range p.vars[p.start[t]:p.start[t+1]] {
-			c *= m[v]
-		}
-		s += c
-	}
-	return s
-}
-
-// bounds is Expr.Bounds over the flat form: each monomial's range is the
-// interval product of its coefficient and its variables' bounds, with
-// repeated occurrences taken independently as the tree does.
-func (p *poly) bounds(lo, hi []int64) Interval {
-	acc := Interval{}
-	for t, c := range p.coef {
-		m := Interval{c, c}
-		for _, v := range p.vars[p.start[t]:p.start[t+1]] {
-			m = m.Mul(Interval{lo[v], hi[v]})
-		}
-		acc = acc.Add(m)
-	}
-	return acc
-}
-
-// affine specialises p to variable x: with every other variable within
-// [lo, hi], p lies in [a.Lo + b.Lo·val, a.Hi + b.Hi·val] when x = val ≥
+// affine specialises e to variable x: with every other variable within
+// [lo, hi], e lies in [a.Lo + b.Lo·val, a.Hi + b.Hi·val] when x = val ≥
 // 0, and in [a.Lo + b.Hi·val, a.Hi + b.Lo·val] when val < 0 — the bounds
 // Expr.Bounds returns with x pinned to val. a sums the monomials without
 // x, b the cofactors of x in the rest. ok is false when x occurs more
@@ -185,11 +54,11 @@ func (p *poly) bounds(lo, hi []int64) Interval {
 // every bound is non-negative, which makes each monomial's range the
 // product of its lower (upper) bounds, swapped for a negative
 // coefficient.
-func (p *poly) affine(x int32, lo, hi []int64, nonneg bool) (a, b Interval, ok bool) {
-	for t, c := range p.coef {
+func (e *Expr) affine(x int32, lo, hi []int64, nonneg bool) (a, b Interval, ok bool) {
+	for t, c := range e.coef {
 		deg := 0
 		m := Interval{c, c}
-		for _, v := range p.vars[p.start[t]:p.start[t+1]] {
+		for _, v := range e.mono(t) {
 			switch {
 			case v == x:
 				deg++
@@ -215,9 +84,9 @@ func (p *poly) affine(x int32, lo, hi []int64, nonneg bool) (a, b Interval, ok b
 	return a, b, true
 }
 
-// check is a constraint lowered for the search.
+// check is a constraint compiled for the search.
 type check struct {
-	l, r poly
+	l, r Expr
 	op   Op
 	// vars are the distinct variables the constraint reads, ascending.
 	vars []int32
@@ -225,7 +94,7 @@ type check struct {
 
 // holds is Constraint.Holds over the flat form.
 func (k *check) holds(m []int64) bool {
-	return compare(k.op, k.l.eval(m), k.r.eval(m))
+	return compare(k.op, k.l.Eval(m), k.r.Eval(m))
 }
 
 // feasible is the interval lookahead: whether the constraint can
@@ -234,7 +103,7 @@ func (k *check) feasible(lo, hi []int64) bool {
 	if k.op == NE {
 		return true
 	}
-	li, ri := k.l.bounds(lo, hi), k.r.bounds(lo, hi)
+	li, ri := k.l.Bounds(lo, hi), k.r.Bounds(lo, hi)
 	switch k.op {
 	case LE:
 		return li.Lo <= ri.Hi

@@ -3,6 +3,8 @@ package smt
 import (
 	"context"
 	"fmt"
+	"math"
+	"math/big"
 	"sort"
 	"strings"
 	"sync"
@@ -73,8 +75,8 @@ func compiledProblem(data []byte) (*Problem, Expr) {
 	return p, side(1 + r.pick(3))
 }
 
-// FuzzCompiledSearch checks the compiled search against the tree-walking
-// oracle: on random problems, Solve, the Maximize climb and the
+// FuzzCompiledSearch checks the compiled search against the oracle that
+// decides every constraint by evaluating its Expr directly: on random problems, Solve, the Maximize climb and the
 // MaximizeParts re-solve under obj >= best return the same models and
 // objectives and the same count for every Stats counter, and the
 // Maximize objective is the brute-force maximum.
@@ -103,7 +105,7 @@ func FuzzCompiledSearch(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, obj := compiledProblem(data)
 
-		s, o := NewSolver(p), newTreeSolver(p)
+		s, o := NewSolver(p), newRefSolver(p)
 		m, ok := s.Solve()
 		om, ook := o.solve()
 		if ok != ook || fmt.Sprint(m) != fmt.Sprint(om) {
@@ -113,7 +115,7 @@ func FuzzCompiledSearch(f *testing.F) {
 			t.Fatalf("Solve stats:\ncompiled %s\n  oracle %s\n%s", g, w, p)
 		}
 
-		s, o = NewSolver(p), newTreeSolver(p)
+		s, o = NewSolver(p), newRefSolver(p)
 		m, val, ok := s.Maximize(obj)
 		om, oval, ook := o.maximize(obj)
 		if ok != ook || val != oval || fmt.Sprint(m) != fmt.Sprint(om) {
@@ -152,34 +154,131 @@ func FuzzCompiledSearch(f *testing.F) {
 	})
 }
 
-// TestLowerMatchesTree pins the lowering against the Expr tree on the
-// shapes the flat form must reproduce exactly: nested sums and products,
-// constants folded into coefficients, repeated variables, empty sums and
-// products, and negative bounds.
-func TestLowerMatchesTree(t *testing.T) {
-	x, y, z := V(0), V(1), V(2)
-	exprs := []Expr{
-		C(7),
-		x,
-		Sum(),
-		Mul(),
-		Scale(-3, Sum(x, Mul(y, z), C(4))),
-		Mul(Mul(x, y), C(5), Mul(z, x)),
-		Sum(Sum(x, Sum(y, C(-2))), Mul(C(2), x, x)),
-		Mul(C(-1), x, y, z),
+// TestExprConstruction pins the flat form C, V, Sum, Mul and Scale
+// build, which is the form the search decides: Sum concatenates
+// monomials, Mul distributes with the first factor's monomials outermost
+// and the factors' variables in factor order, constant coefficients fold,
+// a repeated variable stays one occurrence per factor, and empty sums and
+// products are 0 and 1.
+func TestExprConstruction(t *testing.T) {
+	p := NewProblem()
+	for _, name := range []string{"x", "y", "z"} {
+		p.IntVar(name, []int64{-5, 6})
 	}
+	x, y, z := V(0), V(1), V(2)
 	lo, hi := []int64{-3, 2, -5}, []int64{4, 6, -1}
-	model := []int64{-2, 5, -3}
-	for _, e := range exprs {
-		var a arena
-		a.reserve(e)
-		p := a.lower(e)
-		if got, want := p.eval(model), e.Eval(model); got != want {
-			t.Errorf("%s: eval %d, tree %d", e.render([]string{"x", "y", "z"}), got, want)
+	model := Model{-2, 5, -3}
+	for _, tc := range []struct {
+		e      Expr
+		render string
+		vars   string
+		eval   int64
+		bounds Interval
+	}{
+		{C(7), "7", "[]", 7, Interval{7, 7}},
+		{x, "x", "[0]", -2, Interval{-3, 4}},
+		{Sum(), "0", "[]", 0, Interval{}},
+		{Mul(), "1", "[]", 1, Interval{1, 1}},
+		{Mul(Sum(), x), "0", "[]", 0, Interval{}},
+		{Mul(Sum(x, C(2)), Sum(y, z)), "x*y + x*z + 2*y + 2*z", "[0 1 2]", 0, Interval{-44, 49}},
+		{Mul(Mul(x, y), C(5), Mul(z, x)), "5*x*y*z*x", "[0 1 2]", -300, Interval{-2400, 1800}},
+		{Mul(C(3), x, C(-2)), "-6*x", "[0]", 12, Interval{-24, 18}},
+		{Scale(-3, Sum(x, Mul(y, z), C(4))), "-3*x + -3*y*z + -12", "[0 1 2]", 39, Interval{-18, 87}},
+		{Sum(Sum(x, Sum(y, C(-2))), Mul(C(2), x, x)), "x + y + -2 + 2*x*x", "[0 1]", 9, Interval{-27, 40}},
+	} {
+		r := tc.e.Render(p)
+		if r != tc.render {
+			t.Errorf("rendered %q, want %q", r, tc.render)
 		}
-		if got, want := p.bounds(lo, hi), e.Bounds(lo, hi); got != want {
-			t.Errorf("%s: bounds %v, tree %v", e.render([]string{"x", "y", "z"}), got, want)
+		if got := fmt.Sprint(tc.e.Vars()); got != tc.vars {
+			t.Errorf("%s: vars %s, want %s", r, got, tc.vars)
 		}
+		if got := tc.e.Eval(model); got != tc.eval {
+			t.Errorf("%s: eval %d, want %d", r, got, tc.eval)
+		}
+		if got := tc.e.EvalBig(model); got.Cmp(big.NewInt(tc.eval)) != 0 {
+			t.Errorf("%s: exact eval %s, want %d", r, got, tc.eval)
+		}
+		if got := tc.e.Bounds(lo, hi); got != tc.bounds {
+			t.Errorf("%s: bounds %v, want %v", r, got, tc.bounds)
+		}
+	}
+}
+
+// TestExprCoefficientOverflowPanics checks that folding constants never
+// wraps: a wrapped coefficient would make EvalBig replay a different
+// polynomial than the one built.
+func TestExprCoefficientOverflowPanics(t *testing.T) {
+	for name, build := range map[string]func() Expr{
+		"Mul":          func() Expr { return Mul(C(math.MaxInt64), V(0), C(2)) },
+		"Scale":        func() Expr { return Scale(-1, Sum(V(0), C(math.MinInt64))) },
+		"Mul by -1":    func() Expr { return Mul(C(-1), C(math.MinInt64)) },
+		"distributed":  func() Expr { return Mul(Sum(V(0), C(1<<40)), Sum(V(1), C(1<<30))) },
+		"folded twice": func() Expr { return Mul(C(1<<32), V(0), C(1<<31)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: folding an overflowing coefficient did not panic", name)
+				}
+			}()
+			build()
+		}()
+	}
+	if got := Mul(C(math.MinInt64), C(1)).Eval(nil); got != math.MinInt64 {
+		t.Errorf("MinInt64 * 1 = %d", got)
+	}
+}
+
+// TestEvalBigExactWhereEvalWraps checks that the certifier's exact
+// evaluation does not inherit Eval's int64 wrap.
+func TestEvalBigExactWhereEvalWraps(t *testing.T) {
+	e := Sum(Mul(V(0), V(0), C(3)), C(-1))
+	m := Model{1 << 40}
+	want := new(big.Int).Lsh(big.NewInt(3), 80)
+	want.Sub(want, big.NewInt(1))
+	if got := e.EvalBig(m); got.Cmp(want) != 0 {
+		t.Errorf("EvalBig = %s, want %s", got, want)
+	}
+	if got := e.Eval(m); got != -1 {
+		t.Errorf("Eval = %d, want the wrapped -1", got)
+	}
+	c := Constraint{L: e, Op: LE, R: C(0)}
+	if !c.Holds(m) || c.HoldsBig(m) {
+		t.Errorf("Holds %v, HoldsBig %v: want the wrapped true and the exact false", c.Holds(m), c.HoldsBig(m))
+	}
+}
+
+// TestMaximizeLeavesCallerExprs checks that the objective climb, which
+// rewrites the bound of the objective constraint in place every round,
+// rewrites only the solver's own copy: the caller's objective and
+// problem render the same before and after, and solving them again
+// gives the same answer.
+func TestMaximizeLeavesCallerExprs(t *testing.T) {
+	p := NewProblem()
+	a := p.RangeVar("a", 1, 8, 1)
+	b := p.RangeVar("b", 1, 8, 1)
+	p.Require(Sum(V(a), V(b)), LE, C(10))
+	obj := Sum(Mul(V(a), V(b)), C(3))
+	objText, probText := obj.Render(p), p.String()
+	s := NewSolver(p)
+	m, val, ok := s.Maximize(obj)
+	if !ok || val != 28 || len(s.Stats.Incumbents) < 2 {
+		t.Fatalf("Maximize = %v %d %v after %d incumbents, want 28 after a climb", m, val, ok, len(s.Stats.Incumbents))
+	}
+	s.descend = true
+	s.enforce(GE, val)
+	if _, _, ok := s.solveRound(context.Background(), obj, 1); !ok {
+		t.Fatal("re-solve under obj >= best is unsatisfiable")
+	}
+	if got := obj.Render(p); got != objText {
+		t.Errorf("objective after Maximize: %s, before: %s", got, objText)
+	}
+	if got := p.String(); got != probText {
+		t.Errorf("problem after Maximize:\n%s\nbefore:\n%s", got, probText)
+	}
+	if m2, val2, _ := NewSolver(p).Maximize(obj); fmt.Sprint(m2) != fmt.Sprint(m) || val2 != val {
+		t.Errorf("second Maximize = %v %d, first %v %d", m2, val2, m, val)
 	}
 }
 

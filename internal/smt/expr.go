@@ -9,28 +9,26 @@ package smt
 
 import (
 	"fmt"
+	"math"
 	"math/big"
+	"slices"
+	"strconv"
 	"strings"
 )
 
 // Var identifies a solver variable.
 type Var int
 
-// Expr is an integer expression over solver variables.
-type Expr interface {
-	// Eval evaluates the expression under a complete assignment.
-	Eval(m Model) int64
-	// EvalBig evaluates the expression under a complete assignment in
-	// arbitrary precision, so an independent checker (internal/verify)
-	// can re-decide constraints without inheriting Eval's int64 wrap.
-	EvalBig(m Model) *big.Int
-	// Bounds returns a conservative interval of the expression's value
-	// given per-variable bounds.
-	Bounds(lo, hi []int64) Interval
-	// CollectVars records the variables used.
-	CollectVars(set map[Var]bool)
-	// String renders the expression using the problem's variable names.
-	render(names []string) string
+// Expr is an integer polynomial over solver variables, held as the flat
+// sum of monomials the search decides: monomial t is coef[t] times the
+// product of the variables idx[idx[t]:idx[t+1]], a variable repeated once
+// per occurrence. idx opens with the len(coef)+1 monomial bounds, so the
+// variable occurrences are idx[len(coef)+1:]. An Expr is immutable once
+// built, so expressions share their slices freely. Build one with C, V,
+// Sum, Mul and Scale; the zero Expr is not a valid expression.
+type Expr struct {
+	coef []int64
+	idx  []int32
 }
 
 // Model is a complete assignment of values to variables.
@@ -39,124 +37,230 @@ type Model []int64
 // Value returns the value of v in the model.
 func (m Model) Value(v Var) int64 { return m[v] }
 
-// --- expression nodes ---
-
-type constExpr struct{ v int64 }
-
-func (c constExpr) Eval(Model) int64             { return c.v }
-func (c constExpr) EvalBig(Model) *big.Int       { return big.NewInt(c.v) }
-func (c constExpr) Bounds(_, _ []int64) Interval { return Interval{c.v, c.v} }
-func (c constExpr) CollectVars(map[Var]bool)     {}
-func (c constExpr) render(_ []string) string     { return fmt.Sprintf("%d", c.v) }
-
-type varExpr struct{ v Var }
-
-func (e varExpr) Eval(m Model) int64       { return m[e.v] }
-func (e varExpr) EvalBig(m Model) *big.Int { return big.NewInt(m[e.v]) }
-func (e varExpr) Bounds(lo, hi []int64) Interval {
-	return Interval{lo[e.v], hi[e.v]}
-}
-func (e varExpr) CollectVars(set map[Var]bool) { set[e.v] = true }
-func (e varExpr) render(names []string) string { return names[e.v] }
-
-type sumExpr struct{ terms []Expr }
-
-func (e sumExpr) Eval(m Model) int64 {
-	var s int64
-	for _, t := range e.terms {
-		s += t.Eval(m)
-	}
-	return s
-}
-func (e sumExpr) EvalBig(m Model) *big.Int {
-	s := new(big.Int)
-	for _, t := range e.terms {
-		s.Add(s, t.EvalBig(m))
-	}
-	return s
-}
-func (e sumExpr) Bounds(lo, hi []int64) Interval {
-	acc := Interval{0, 0}
-	for _, t := range e.terms {
-		acc = acc.Add(t.Bounds(lo, hi))
-	}
-	return acc
-}
-func (e sumExpr) CollectVars(set map[Var]bool) {
-	for _, t := range e.terms {
-		t.CollectVars(set)
-	}
-}
-func (e sumExpr) render(names []string) string {
-	parts := make([]string, len(e.terms))
-	for i, t := range e.terms {
-		parts[i] = t.render(names)
-	}
-	return "(" + strings.Join(parts, " + ") + ")"
-}
-
-type mulExpr struct{ factors []Expr }
-
-func (e mulExpr) Eval(m Model) int64 {
-	p := int64(1)
-	for _, f := range e.factors {
-		p *= f.Eval(m)
-	}
-	return p
-}
-func (e mulExpr) EvalBig(m Model) *big.Int {
-	p := big.NewInt(1)
-	for _, f := range e.factors {
-		p.Mul(p, f.EvalBig(m))
-	}
-	return p
-}
-func (e mulExpr) Bounds(lo, hi []int64) Interval {
-	acc := Interval{1, 1}
-	for _, f := range e.factors {
-		acc = acc.Mul(f.Bounds(lo, hi))
-	}
-	return acc
-}
-func (e mulExpr) CollectVars(set map[Var]bool) {
-	for _, f := range e.factors {
-		f.CollectVars(set)
-	}
-}
-func (e mulExpr) render(names []string) string {
-	parts := make([]string, len(e.factors))
-	for i, f := range e.factors {
-		parts[i] = f.render(names)
-	}
-	return "(" + strings.Join(parts, " * ") + ")"
-}
-
 // --- constructors ---
 
+// Expressions share immutable slices where they can, so building a
+// constant allocates only its coefficient, and reading one of the first
+// len(varIdx) variables allocates nothing: constIdx is the index of
+// every constant, varIdx[v] that of V(v), and unit the coefficient of
+// every V.
+var (
+	constIdx = []int32{2, 2}
+	unit     = []int64{1}
+	varIdx   = func() (idx [64][3]int32) {
+		for v := range idx {
+			idx[v] = [3]int32{2, 3, int32(v)}
+		}
+		return idx
+	}()
+)
+
 // C returns the constant expression v.
-func C(v int64) Expr { return constExpr{v} }
+func C(v int64) Expr { return Expr{coef: []int64{v}, idx: constIdx} }
 
 // V returns the expression reading variable v.
-func V(v Var) Expr { return varExpr{v} }
+func V(v Var) Expr {
+	if v >= 0 && int(v) < len(varIdx) {
+		return Expr{coef: unit, idx: varIdx[v][:]}
+	}
+	return Expr{coef: unit, idx: []int32{2, 3, int32(v)}}
+}
 
-// Sum returns t0 + t1 + ....
+// Sum returns t0 + t1 + ...: the terms' monomials, concatenated in order.
 func Sum(terms ...Expr) Expr {
 	if len(terms) == 1 {
 		return terms[0]
 	}
-	return sumExpr{terms: terms}
+	var n, occ int
+	for _, t := range terms {
+		n, occ = n+len(t.coef), occ+len(t.occs())
+	}
+	out := Expr{coef: make([]int64, 0, n), idx: make([]int32, n+1, n+1+occ)}
+	for _, t := range terms {
+		for i, c := range t.coef {
+			out.idx[len(out.coef)] = int32(len(out.idx))
+			out.coef = append(out.coef, c)
+			out.idx = append(out.idx, t.mono(i)...)
+		}
+	}
+	out.idx[n] = int32(len(out.idx))
+	return out
 }
 
-// Mul returns f0 * f1 * ....
+// Mul returns f0 * f1 * ..., distributed: one monomial per choice of a
+// monomial from each factor, the first factor's choice outermost, with
+// the factors' variables in factor order and their coefficients folded.
+// It panics when a folded coefficient overflows int64.
 func Mul(factors ...Expr) Expr {
 	if len(factors) == 1 {
 		return factors[0]
 	}
-	return mulExpr{factors: factors}
+	n, occ := 1, 0
+	for _, f := range factors {
+		n, occ = n*len(f.coef), occ*len(f.coef)+len(f.occs())*n
+	}
+	out := Expr{coef: make([]int64, 0, n), idx: make([]int32, n+1, n+1+occ)}
+	// pick[i] is the monomial of factor i in the next product, advanced
+	// like an odometer whose last digit turns fastest.
+	var buf [4]int
+	pick := buf[:0]
+	for range factors {
+		pick = append(pick, 0)
+	}
+	for range n {
+		out.idx[len(out.coef)] = int32(len(out.idx))
+		c := int64(1)
+		for i, f := range factors {
+			c = mulExact(c, f.coef[pick[i]])
+			out.idx = append(out.idx, f.mono(pick[i])...)
+		}
+		out.coef = append(out.coef, c)
+		for i := len(pick) - 1; i >= 0; i-- {
+			if pick[i]++; pick[i] < len(factors[i].coef) {
+				break
+			}
+			pick[i] = 0
+		}
+	}
+	out.idx[n] = int32(len(out.idx))
+	return out
 }
 
-// Scale returns c * e.
-func Scale(c int64, e Expr) Expr { return Mul(C(c), e) }
+// Scale returns c * e, which is Mul(C(c), e).
+func Scale(c int64, e Expr) Expr {
+	out := Expr{coef: make([]int64, len(e.coef)), idx: e.idx}
+	for t, k := range e.coef {
+		out.coef[t] = mulExact(c, k)
+	}
+	return out
+}
+
+// mulExact returns a * b, panicking when the product overflows int64:
+// a folded coefficient that wrapped would make EvalBig, the certifier's
+// exact replay, decide a different polynomial than the one built.
+func mulExact(a, b int64) int64 {
+	p := a * b
+	if a != 0 && (p/a != b || a == -1 && b == math.MinInt64) {
+		panic(fmt.Sprintf("smt: coefficient %d * %d overflows int64", a, b))
+	}
+	return p
+}
+
+// --- reading ---
+
+// mono returns the variables of monomial t.
+func (e *Expr) mono(t int) []int32 { return e.idx[e.idx[t]:e.idx[t+1]] }
+
+// occs returns e's variable occurrences, monomial after monomial.
+func (e *Expr) occs() []int32 { return e.idx[len(e.coef)+1:] }
+
+// Vars returns the distinct variables e reads, ascending.
+func (e Expr) Vars() []Var {
+	vs := make([]Var, 0, len(e.occs()))
+	for _, v := range e.occs() {
+		vs = append(vs, Var(v))
+	}
+	slices.Sort(vs)
+	return slices.Compact(vs)
+}
+
+// Eval evaluates e under a complete assignment, in int64 arithmetic that
+// wraps on overflow.
+func (e Expr) Eval(m Model) int64 {
+	var s int64
+	for t, c := range e.coef {
+		for _, v := range e.mono(t) {
+			c *= m[v]
+		}
+		s += c
+	}
+	return s
+}
+
+// EvalBig evaluates e under a complete assignment in arbitrary
+// precision, so an independent checker (internal/verify) can re-decide
+// constraints without inheriting Eval's int64 wrap.
+func (e Expr) EvalBig(m Model) *big.Int {
+	s, t, x := new(big.Int), new(big.Int), new(big.Int)
+	for i, c := range e.coef {
+		t.SetInt64(c)
+		for _, v := range e.mono(i) {
+			t.Mul(t, x.SetInt64(m[v]))
+		}
+		s.Add(s, t)
+	}
+	return s
+}
+
+// Bounds returns a conservative interval of e's value given per-variable
+// bounds: each monomial's range is the interval product of its
+// coefficient and its variables' bounds, a repeated variable taken
+// independently per occurrence.
+func (e Expr) Bounds(lo, hi []int64) Interval {
+	acc := Interval{}
+	for t, c := range e.coef {
+		m := Interval{c, c}
+		for _, v := range e.mono(t) {
+			m = m.Mul(Interval{lo[v], hi[v]})
+		}
+		acc = acc.Add(m)
+	}
+	return acc
+}
+
+// Render returns e using p's variable names: its monomials joined by
+// " + ", each its coefficient and variables joined by "*", with a
+// coefficient of 1 left out before variables ("6*T_i*T_j + T_k").
+func (e Expr) Render(p *Problem) string { return e.render(p.names) }
+
+func (e Expr) render(names []string) string {
+	if len(e.coef) == 0 {
+		return "0"
+	}
+	var b strings.Builder
+	for t, c := range e.coef {
+		if t > 0 {
+			b.WriteString(" + ")
+		}
+		vs := e.mono(t)
+		if c != 1 || len(vs) == 0 {
+			b.WriteString(strconv.FormatInt(c, 10))
+			if len(vs) > 0 {
+				b.WriteByte('*')
+			}
+		}
+		for i, v := range vs {
+			if i > 0 {
+				b.WriteByte('*')
+			}
+			b.WriteString(names[v])
+		}
+	}
+	return b.String()
+}
+
+// remap returns e over renumbered variables, variable v becoming to[v],
+// keeping only the monomials ts, or every monomial when ts is nil.
+func (e Expr) remap(ts []int, to []Var) Expr {
+	n := len(ts)
+	if ts == nil {
+		n = len(e.coef)
+	}
+	out := Expr{coef: make([]int64, 0, n), idx: make([]int32, n+1, n+1+len(e.occs()))}
+	for i := range n {
+		t := i
+		if ts != nil {
+			t = ts[i]
+		}
+		out.idx[i] = int32(len(out.idx))
+		out.coef = append(out.coef, e.coef[t])
+		for _, v := range e.mono(t) {
+			out.idx = append(out.idx, int32(to[v]))
+		}
+	}
+	out.idx[n] = int32(len(out.idx))
+	return out
+}
 
 // --- constraints ---
 

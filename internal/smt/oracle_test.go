@@ -2,14 +2,14 @@ package smt
 
 import "sort"
 
-// treeSolver is the reference Sec. IV-L search the compiled Solver must
+// refSolver is the reference Sec. IV-L search the compiled Solver must
 // reproduce exactly: the same propagation, the same static variable
 // order, the same depth-first value order and the same check order, but
-// deciding every check by walking the constraint's Expr tree (Holds for
+// deciding every check by evaluating the constraint's Exprs (Holds for
 // fully assigned constraints, Bounds-based interval lookahead for the
-// rest). Its Stats carry every counter the Solver reports except
+// rest) instead of through checks specialised to the node's variable. Its Stats carry every counter the Solver reports except
 // wall-clock time.
-type treeSolver struct {
+type refSolver struct {
 	p       *Problem
 	Stats   Stats
 	domains [][]int64
@@ -19,7 +19,7 @@ type treeSolver struct {
 	rank    []int
 }
 
-func newTreeSolver(p *Problem) *treeSolver { return &treeSolver{p: p} }
+func newRefSolver(p *Problem) *refSolver { return &refSolver{p: p} }
 
 // feasible reports whether c can possibly hold given variable bounds
 // (interval reasoning; NE is never pruned).
@@ -42,7 +42,7 @@ func feasible(c Constraint, lo, hi []int64) bool {
 	}
 }
 
-func (s *treeSolver) propagate() {
+func (s *refSolver) propagate() {
 	n := s.p.NumVars()
 	s.domains = make([][]int64, n)
 	copy(s.domains, s.p.domains)
@@ -91,7 +91,7 @@ func (s *treeSolver) propagate() {
 	}
 }
 
-func (s *treeSolver) index() {
+func (s *refSolver) index() {
 	n := s.p.NumVars()
 	s.order = make([]int, n)
 	for i := range s.order {
@@ -106,7 +106,7 @@ func (s *treeSolver) index() {
 	}
 }
 
-func (s *treeSolver) solve() (Model, bool) {
+func (s *refSolver) solve() (Model, bool) {
 	s.Stats.SolverCalls++
 	n := s.p.NumVars()
 	if s.domains == nil {
@@ -151,7 +151,7 @@ func (s *treeSolver) solve() (Model, bool) {
 	byLast := make([][]int, n)
 	for ci, c := range all {
 		last := -1
-		for _, v := range varsOf(c.L, c.R) {
+		for _, v := range append(c.L.Vars(), c.R.Vars()...) {
 			last = max(last, s.rank[v])
 		}
 		if last < 0 {
@@ -218,7 +218,7 @@ func (s *treeSolver) solve() (Model, bool) {
 }
 
 // round mirrors Solver.solveRound's accounting.
-func (s *treeSolver) round(obj Expr) (Model, int64, bool) {
+func (s *refSolver) round(obj Expr) (Model, int64, bool) {
 	m, sat := s.solve()
 	s.Stats.Rounds++
 	if !sat {
@@ -227,12 +227,12 @@ func (s *treeSolver) round(obj Expr) (Model, int64, bool) {
 	return m, obj.Eval(m), true
 }
 
-func (s *treeSolver) note(round int, val int64) {
+func (s *refSolver) note(round int, val int64) {
 	s.Stats.Incumbents = append(s.Stats.Incumbents, Incumbent{Round: round, Objective: val, Nodes: s.Stats.Nodes})
 }
 
 // maximize is the OBJ_{n+1} > OBJ_n climb of Solver.MaximizeCtx.
-func (s *treeSolver) maximize(obj Expr) (Model, int64, bool) {
+func (s *refSolver) maximize(obj Expr) (Model, int64, bool) {
 	s.Stats.Incumbents = nil
 	s.extra = nil
 	s.descend = false
@@ -257,7 +257,7 @@ func (s *treeSolver) maximize(obj Expr) (Model, int64, bool) {
 
 // resolveAtLeast mirrors MaximizeParts's re-solve of a part that did not
 // climb: one descending round under obj >= k.
-func (s *treeSolver) resolveAtLeast(obj Expr, k int64) (Model, bool) {
+func (s *refSolver) resolveAtLeast(obj Expr, k int64) (Model, bool) {
 	s.descend = true
 	s.extra = []Constraint{{L: obj, Op: GE, R: C(k), Label: "objective"}}
 	m, _, sat := s.round(obj)

@@ -1,9 +1,6 @@
 package smt
 
-import (
-	"context"
-	"slices"
-)
+import "context"
 
 // Part is one connected component of a Problem: a sub-problem over the
 // component's variables, with its share of each objective the problem
@@ -15,19 +12,19 @@ type Part struct {
 	// the whole problem.
 	Vars []Var
 	// Objs[k] is the part's share of the k-th objective passed to
-	// Partition: the sum of that objective's top-level terms over the
-	// part's variables, or C(0) when it has none.
+	// Partition: the sum of that objective's monomials over the part's
+	// variables, or C(0) when it has none.
 	Objs []Expr
 }
 
 // Partition splits p into the connected components of its variable
 // graph. The graph has one node per variable and joins the variables of
-// each constraint and of each top-level term of each objective, so a
+// each constraint and of each monomial of each objective, so a
 // model of p is exactly a combination of one model per part, and each
 // objective is the sum of its per-part shares. Parts come in the order
 // of their lowest variable, and each part numbers its variables in their
 // original order, so the solver's variable order inside a part is the
-// restriction of its order over p. Constraints and objective terms
+// restriction of its order over p. Constraints and objective monomials
 // without variables go to the first part.
 //
 // A problem with a single component comes back as one part holding p
@@ -46,24 +43,29 @@ func (p *Problem) Partition(objs ...Expr) []Part {
 		}
 		return parent[v]
 	}
-	link := func(vs []Var) {
-		for _, v := range vs {
-			parent[find(int(v))] = find(int(vs[0]))
+	// link joins the variables of vss and returns one of them, or -1
+	// when they hold none.
+	link := func(vss ...[]int32) int {
+		first := -1
+		for _, vs := range vss {
+			for _, v := range vs {
+				if first < 0 {
+					first = int(v)
+				}
+				parent[find(int(v))] = find(first)
+			}
 		}
+		return first
 	}
-	consVars := make([][]Var, len(p.cons))
+	consAt := make([]int, len(p.cons))
 	for i, c := range p.cons {
-		consVars[i] = varsOf(c.L, c.R)
-		link(consVars[i])
+		consAt[i] = link(c.L.occs(), c.R.occs())
 	}
-	objTerms := make([][]Expr, len(objs))
-	termVars := make([][][]Var, len(objs))
+	termAt := make([][]int, len(objs))
 	for k, o := range objs {
-		objTerms[k] = terms(o)
-		for _, t := range objTerms[k] {
-			vs := varsOf(t)
-			termVars[k] = append(termVars[k], vs)
-			link(vs)
+		termAt[k] = make([]int, len(o.coef))
+		for t := range o.coef {
+			termAt[k][t] = link(o.mono(t))
 		}
 	}
 
@@ -94,26 +96,26 @@ func (p *Problem) Partition(objs ...Expr) []Part {
 		pt.Problem.names = append(pt.Problem.names, p.names[v])
 		pt.Problem.domains = append(pt.Problem.domains, p.domains[v])
 	}
-	partOf := func(vs []Var) int {
-		if len(vs) == 0 {
+	partOf := func(v int) int {
+		if v < 0 {
 			return 0
 		}
-		return comp[vs[0]]
+		return comp[v]
 	}
 	for i, c := range p.cons {
-		pp := parts[partOf(consVars[i])].Problem
-		pp.cons = append(pp.cons, Constraint{L: remap(c.L, local), Op: c.Op, R: remap(c.R, local), Label: c.Label})
+		pp := parts[partOf(consAt[i])].Problem
+		pp.cons = append(pp.cons, Constraint{L: c.L.remap(nil, local), Op: c.Op, R: c.R.remap(nil, local), Label: c.Label})
 	}
-	for k := range objs {
-		share := make([][]Expr, len(parts))
-		for j, t := range objTerms[k] {
-			c := partOf(termVars[k][j])
-			share[c] = append(share[c], remap(t, local))
+	for k, o := range objs {
+		share := make([][]int, len(parts))
+		for t, v := range termAt[k] {
+			c := partOf(v)
+			share[c] = append(share[c], t)
 		}
 		for c := range parts {
 			obj := C(0)
 			if len(share[c]) > 0 {
-				obj = Sum(share[c]...)
+				obj = o.remap(share[c], local)
 			}
 			parts[c].Objs = append(parts[c].Objs, obj)
 		}
@@ -235,66 +237,4 @@ func MergeStats(parts []Stats) Stats {
 		out.Incumbents = append(out.Incumbents, inc)
 	}
 	return out
-}
-
-// terms returns the top-level summands of e, flattening nested sums.
-func terms(e Expr) []Expr {
-	s, ok := e.(sumExpr)
-	if !ok {
-		return []Expr{e}
-	}
-	var out []Expr
-	for _, t := range s.terms {
-		out = append(out, terms(t)...)
-	}
-	return out
-}
-
-// varsOf returns the distinct variables the expressions read, ascending.
-func varsOf(es ...Expr) []Var {
-	var out []Var
-	for _, e := range es {
-		out = appendVars(out, e)
-	}
-	slices.Sort(out)
-	return slices.Compact(out)
-}
-
-// appendVars appends every variable occurrence in e.
-func appendVars(dst []Var, e Expr) []Var {
-	switch e := e.(type) {
-	case varExpr:
-		dst = append(dst, e.v)
-	case sumExpr:
-		for _, t := range e.terms {
-			dst = appendVars(dst, t)
-		}
-	case mulExpr:
-		for _, f := range e.factors {
-			dst = appendVars(dst, f)
-		}
-	}
-	return dst
-}
-
-// remap rewrites e over renumbered variables: variable v becomes to[v].
-func remap(e Expr, to []Var) Expr {
-	switch e := e.(type) {
-	case varExpr:
-		return varExpr{to[e.v]}
-	case sumExpr:
-		ts := make([]Expr, len(e.terms))
-		for i, t := range e.terms {
-			ts[i] = remap(t, to)
-		}
-		return sumExpr{terms: ts}
-	case mulExpr:
-		fs := make([]Expr, len(e.factors))
-		for i, f := range e.factors {
-			fs[i] = remap(f, to)
-		}
-		return mulExpr{factors: fs}
-	default:
-		return e
-	}
 }

@@ -66,8 +66,8 @@ func TestPartitionSplitsIndependentGroups(t *testing.T) {
 	b := p.RangeVar("b", 1, 4, 1)
 	y := p.RangeVar("y", 1, 3, 1)
 	p.RequireLabeled("ab", Mul(V(a), V(b)), LE, C(6))
-	p.RequireLE(V(x), C(2))
-	p.RequireLE(C(1), C(2))
+	p.Require(V(x), LE, C(2))
+	p.Require(C(1), LE, C(2))
 	obj := Sum(Scale(2, V(a)), Mul(V(x), V(y)), C(5))
 	shrink := Scale(-1, V(b))
 	parts := p.Partition(obj, shrink)
@@ -77,20 +77,19 @@ func TestPartitionSplitsIndependentGroups(t *testing.T) {
 	if fmt.Sprint(parts[0].Vars) != "[0 2]" || fmt.Sprint(parts[1].Vars) != "[1 3]" {
 		t.Fatalf("part vars = %v / %v, want [0 2] / [1 3]", parts[0].Vars, parts[1].Vars)
 	}
-	if got := parts[0].Problem.String(); got != "(declare a in [1..4] /4 values)\n(declare b in [1..4] /4 values)\n(assert (<= (a * b) 6))\n(assert (<= 1 2))\n" {
+	if got := parts[0].Problem.String(); got != "(declare a in [1..4] /4 values)\n(declare b in [1..4] /4 values)\n(assert (<= a*b 6))\n(assert (<= 1 2))\n" {
 		t.Errorf("part 0 =\n%s", got)
 	}
 	if got := parts[1].Problem.Cons(); len(got) != 1 || got[0].Render(parts[1].Problem) != "(<= x 2)" {
 		t.Errorf("part 1 constraints = %v", got)
 	}
-	names := parts[0].Problem.names
-	if r := parts[0].Objs[0].render(names); r != "((2 * a) + 5)" {
+	if r := parts[0].Objs[0].Render(parts[0].Problem); r != "2*a + 5" {
 		t.Errorf("part 0 objective = %s, want the a term plus the constant", r)
 	}
-	if r := parts[1].Objs[0].render(parts[1].Problem.names); r != "(x * y)" {
+	if r := parts[1].Objs[0].Render(parts[1].Problem); r != "x*y" {
 		t.Errorf("part 1 objective = %s", r)
 	}
-	if r := parts[1].Objs[1].render(nil); r != "0" {
+	if r := parts[1].Objs[1].Render(parts[1].Problem); r != "0" {
 		t.Errorf("part 1 shrink share = %s, want 0", r)
 	}
 	// The merged model puts every part's values back in place.
@@ -104,10 +103,10 @@ func TestPartitionOneComponentIsTheProblem(t *testing.T) {
 	p := NewProblem()
 	x := p.RangeVar("x", 1, 4, 1)
 	y := p.RangeVar("y", 1, 4, 1)
-	p.RequireLE(Sum(V(x), V(y)), C(5))
+	p.Require(Sum(V(x), V(y)), LE, C(5))
 	obj := Sum(V(x), V(y))
 	parts := p.Partition(obj)
-	if len(parts) != 1 || parts[0].Problem != p || parts[0].Vars != nil || parts[0].Objs[0] == nil {
+	if len(parts) != 1 || parts[0].Problem != p || parts[0].Vars != nil || len(parts[0].Objs) != 1 {
 		t.Fatalf("one component came back as %+v", parts)
 	}
 	m := Model{1, 4}
@@ -128,7 +127,7 @@ func TestMaximizePartsTieBreak(t *testing.T) {
 		x := p.RangeVar("x", 1, 2, 1)
 		y := p.RangeVar("y", 1, 2, 1)
 		z := p.RangeVar("z", 1, 4, 1)
-		p.RequireLE(Sum(V(x), V(y)), C(3))
+		p.Require(Sum(V(x), V(y)), LE, C(3))
 		objs := []Expr{Sum(Scale(-1, V(x)), Scale(sign, V(z)))}
 		want, wantObj, _ := wholeMaximize(p, objs)
 		got, gotObj, parts, ok := splitMaximize(p, objs)

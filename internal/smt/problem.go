@@ -79,15 +79,6 @@ func (p *Problem) RequireLabeled(label string, l Expr, op Op, r Expr) {
 	p.cons = append(p.cons, Constraint{L: l, Op: op, R: r, Label: label})
 }
 
-// RequireLE adds l <= r.
-func (p *Problem) RequireLE(l, r Expr) { p.Require(l, LE, r) }
-
-// RequireGE adds l >= r.
-func (p *Problem) RequireGE(l, r Expr) { p.Require(l, GE, r) }
-
-// RequireGT adds l > r.
-func (p *Problem) RequireGT(l, r Expr) { p.Require(l, GT, r) }
-
 // RequireEQ adds l == r.
 func (p *Problem) RequireEQ(l, r Expr) { p.Require(l, EQ, r) }
 

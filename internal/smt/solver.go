@@ -118,7 +118,7 @@ type Solver struct {
 	// (always true for tile sizes), which lets check specialisation skip
 	// the sign-aware interval products.
 	nonneg bool
-	// checks are the problem's constraints lowered for the search
+	// checks are the problem's constraints compiled for the search
 	// (compile.go), in constraint order, followed by one slot for the
 	// objective-improvement constraint obj op bound that Maximize adds
 	// each round. objSet says an objective is attached to the slot,
@@ -177,11 +177,11 @@ func NewSolver(p *Problem) *Solver { return &Solver{p: p} }
 const cancelPollMask = 1023
 
 // prepare builds what every Solve of the solver shares: the static
-// variable order, the lowered constraints, the round scratch, and the
+// variable order, the compiled constraints, the round scratch, and the
 // propagated domains.
 func (s *Solver) prepare() {
 	s.index()
-	s.lower()
+	s.addChecks()
 	s.nonneg = true
 	for _, d := range s.p.domains {
 		if len(d) > 0 && d[0] < 0 {
@@ -196,9 +196,9 @@ func (s *Solver) prepare() {
 	mTightenings.Add(s.Stats.Tightenings - t0)
 }
 
-// lower compiles the constraints added since the last call, keeping the
-// objective slot last.
-func (s *Solver) lower() {
+// addChecks compiles the constraints added since the last call, keeping
+// the objective slot last.
+func (s *Solver) addChecks() {
 	var obj check
 	nb := 0
 	if len(s.checks) > 0 {
@@ -206,39 +206,29 @@ func (s *Solver) lower() {
 		obj = s.checks[nb]
 	}
 	cons := s.p.cons[nb:]
-	es := make([]Expr, 0, 2*len(cons))
-	for _, c := range cons {
-		es = append(es, c.L, c.R)
-	}
-	var a arena
-	a.reserve(es...)
-	base := slices.Grow(s.checks[:nb], len(cons)+1)
 	labels := slices.Grow(s.labels[:min(nb, len(s.labels))], len(cons)+1)
 	for _, c := range cons {
-		base = append(base, a.lowerCheck(c))
 		label := c.Label
 		if label == "" {
 			label = "unlabeled"
 		}
 		labels = append(labels, label)
 	}
-	s.checks = append(base, obj)
+	s.checks = append(compile(s.checks[:nb], cons), obj)
 	s.labels = append(labels, "objective")
 	s.pruneCounts = make([]int64, len(s.checks))
 	s.seq = nil
 }
 
 // attach compiles obj into the objective slot, not yet enforced: the
-// slot holds obj op k with k lowered to one constant monomial, which
+// slot holds the solver's own copy of obj op C(0), whose constant
 // enforce rewrites in place.
 func (s *Solver) attach(obj Expr) {
 	if s.checks == nil {
 		s.checks = []check{{}}
 		s.labels = []string{"objective"}
 	}
-	var a arena
-	a.reserve(obj, C(0))
-	s.checks[len(s.checks)-1] = a.lowerCheck(Constraint{L: obj, R: C(0)})
+	s.checks = compile(s.checks[:len(s.checks)-1], []Constraint{{L: obj, R: C(0)}})
 	s.objSet, s.objOn = true, false
 	s.seq = nil
 }
@@ -422,7 +412,7 @@ func (s *Solver) SolveCtx(ctx context.Context) (Model, bool) {
 		s.prepare()
 	}
 	if len(s.checks)-1 != len(s.p.cons) {
-		s.lower()
+		s.addChecks()
 	}
 	if s.seq == nil {
 		s.skeleton()

@@ -14,7 +14,7 @@ func TestSolveSimpleLinear(t *testing.T) {
 	x := p.RangeVar("x", 1, 10, 1)
 	y := p.RangeVar("y", 1, 10, 1)
 	p.RequireEQ(Sum(V(x), V(y)), C(7))
-	p.RequireGT(V(x), V(y))
+	p.Require(V(x), GT, V(y))
 	m, ok := NewSolver(p).Solve()
 	if !ok {
 		t.Fatal("expected SAT")
@@ -27,7 +27,7 @@ func TestSolveSimpleLinear(t *testing.T) {
 func TestSolveUnsat(t *testing.T) {
 	p := NewProblem()
 	x := p.RangeVar("x", 1, 5, 1)
-	p.RequireGT(V(x), C(100))
+	p.Require(V(x), GT, C(100))
 	if _, ok := NewSolver(p).Solve(); ok {
 		t.Fatal("expected UNSAT")
 	}
@@ -61,7 +61,7 @@ func TestMaximizeNonLinear(t *testing.T) {
 	p := NewProblem()
 	x := p.RangeVar("x", 1, 16, 2)
 	y := p.RangeVar("y", 1, 16, 2)
-	p.RequireLE(Mul(V(x), V(y)), C(50))
+	p.Require(Mul(V(x), V(y)), LE, C(50))
 	m, val, ok := NewSolver(p).Maximize(Mul(V(x), V(y)))
 	if !ok {
 		t.Fatal("expected SAT")
@@ -80,11 +80,11 @@ func TestMaximizeMatchesEnumeration(t *testing.T) {
 		tj := p.RangeVar("Tj", 1, 64, 8)
 		tk := p.RangeVar("Tk", 1, 64, 8)
 		// block size cap
-		p.RequireLE(Mul(V(ti), V(tj)), C(1024))
+		p.Require(Mul(V(ti), V(tj)), LE, C(1024))
 		// cache capacity
-		p.RequireLE(Sum(Mul(V(ti), V(tj)), Mul(V(tk), V(tj))), C(2048))
+		p.Require(Sum(Mul(V(ti), V(tj)), Mul(V(tk), V(tj))), LE, C(2048))
 		// shared memory
-		p.RequireLE(Mul(V(ti), V(tk)), C(1024))
+		p.Require(Mul(V(ti), V(tk)), LE, C(1024))
 		obj := Sum(Mul(V(ti), V(tj)), Scale(16, V(tj)))
 		return p, ti, tj, tk, obj
 	}
@@ -111,7 +111,7 @@ func TestMaximizeMatchesEnumeration(t *testing.T) {
 func TestMaximizeStatsCounted(t *testing.T) {
 	p := NewProblem()
 	x := p.RangeVar("x", 1, 32, 1)
-	p.RequireLE(V(x), C(20))
+	p.Require(V(x), LE, C(20))
 	s := NewSolver(p)
 	_, val, ok := s.Maximize(V(x))
 	if !ok || val != 20 {
@@ -212,7 +212,7 @@ func TestMaximizeOptimal(t *testing.T) {
 			for i := range vars {
 				vars[i] = p.RangeVar("v", 1, int64(8+rr.Intn(8)), int64(1+rr.Intn(3)))
 			}
-			p.RequireLE(Mul(V(vars[0]), V(vars[1])), C(int64(20+rr.Intn(100))))
+			p.Require(Mul(V(vars[0]), V(vars[1])), LE, C(int64(20+rr.Intn(100))))
 			obj := Sum(Mul(V(vars[0]), V(vars[1])), Scale(3, V(vars[nv-1])))
 			return p, vars, obj
 		}
@@ -240,7 +240,7 @@ func TestMaximizeOptimal(t *testing.T) {
 func TestProblemString(t *testing.T) {
 	p := NewProblem()
 	x := p.RangeVar("Ti", 16, 64, 16)
-	p.RequireLE(Mul(V(x), C(2)), C(100))
+	p.Require(Mul(V(x), C(2)), LE, C(100))
 	s := p.String()
 	if s == "" {
 		t.Fatal("empty problem dump")
@@ -267,7 +267,7 @@ func TestMinimize(t *testing.T) {
 	p := NewProblem()
 	x := p.RangeVar("x", 1, 64, 8)
 	y := p.RangeVar("y", 1, 64, 8)
-	p.RequireGE(Sum(V(x), V(y)), C(40))
+	p.Require(Sum(V(x), V(y)), GE, C(40))
 	m, val, ok := NewSolver(p).Minimize(Sum(V(x), V(y)))
 	if !ok {
 		t.Fatal("expected SAT")
@@ -285,7 +285,7 @@ func TestMaximizeBinaryMatchesIterative(t *testing.T) {
 			p := NewProblem()
 			a := p.RangeVar("a", 1, int64(8+rr.Intn(24)), int64(1+rr.Intn(4)))
 			b := p.RangeVar("b", 1, int64(8+rr.Intn(24)), int64(1+rr.Intn(4)))
-			p.RequireLE(Mul(V(a), V(b)), C(int64(30+rr.Intn(200))))
+			p.Require(Mul(V(a), V(b)), LE, C(int64(30+rr.Intn(200))))
 			obj := Sum(Mul(V(a), V(b)), Scale(int64(1+rr.Intn(8)), V(b)))
 			return NewSolver(p), obj
 		}
@@ -307,7 +307,7 @@ func TestMaximizeBinaryFewerCallsOnWideRange(t *testing.T) {
 	mk := func() (*Solver, Expr) {
 		p := NewProblem()
 		x := p.RangeVar("x", 1, 4096, 1)
-		p.RequireLE(V(x), C(4000))
+		p.Require(V(x), LE, C(4000))
 		return NewSolver(p), V(x)
 	}
 	s1, o1 := mk()
@@ -330,7 +330,7 @@ func TestMaximizeBinaryFewerCallsOnWideRange(t *testing.T) {
 func TestSolveCtxCancelledBeforeStart(t *testing.T) {
 	p := NewProblem()
 	x := p.RangeVar("x", 1, 10, 1)
-	p.RequireGT(V(x), C(0))
+	p.Require(V(x), GT, C(0))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, ok := NewSolver(p).SolveCtx(ctx); ok {
@@ -375,7 +375,7 @@ func TestSolverReuseAfterCancelledCtx(t *testing.T) {
 	// cancelled ctx must not poison a later solve on the same solver.
 	p := NewProblem()
 	x := p.RangeVar("x", 1, 10, 1)
-	p.RequireGT(V(x), C(5))
+	p.Require(V(x), GT, C(5))
 	s := NewSolver(p)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
