@@ -86,9 +86,12 @@ lint-gate:
 # (literal snake_case dot-namespaced names, each registered exactly
 # once), the "no context.Background()/TODO() under internal/serve
 # or internal/sweep" request-path rule, the "only the feas
-# lowering declares Sec. IV constraints" rule, and R7: every internal/
+# lowering declares Sec. IV constraints" rule, R7: every internal/
 # package with non-test files has a non-test importer, so code only
-# tests run lives in _test.go files.
+# tests run lives in _test.go files, and R8: the certifier
+# (internal/verify) imports none of the packages it certifies, and no
+# internal/ package imports it, so certification stays an independent,
+# explicit post-hoc call.
 selfcheck:
 	$(GO) run ./tools/selfcheck .
 

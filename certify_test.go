@@ -3,6 +3,7 @@ package eatss
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -33,11 +34,11 @@ func testdataKernels(t *testing.T) map[string]*AffineKernel {
 
 // TestCertifyAllSelections is the acceptance gate: every selection the
 // pipeline produces for the full catalog plus the shipped DSL kernels,
-// on both the GA100 and the Xavier, must pass independent certification
-// — solved with Options.Verify=All (a certification failure surfaces as
-// a solve error) and re-checked post-hoc via Certify. Kernels whose
-// formulation is infeasible at every warp fraction are skipped, like
-// the protocol does (Sec. V-D).
+// over the whole (split x warp fraction) sibling grid SelectBest and the
+// linter reason about, on the GA100, the Xavier and the V100, must pass
+// independent certification (Certify), and its compiled mapping must
+// pass CertifyMapped. Unsatisfiable formulations are skipped, like the
+// protocol does (Sec. V-D).
 func TestCertifyAllSelections(t *testing.T) {
 	kernels := make(map[string]*AffineKernel)
 	for _, name := range Kernels() {
@@ -46,46 +47,49 @@ func TestCertifyAllSelections(t *testing.T) {
 	for name, k := range testdataKernels(t) {
 		kernels[name] = k
 	}
-	gpus := []*GPU{GA100(), Xavier()}
-	certified := 0
+	gpus := []*GPU{GA100(), Xavier(), V100()}
+	ctx := context.Background()
+	certified, unsat := 0, 0
 	for name, k := range kernels {
 		prog, err := Analyze(k, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		for _, g := range gpus {
-			var sel *Selection
-			for _, wf := range WarpFractions {
-				sel, err = prog.SelectTiles(g, Options{
-					SplitFactor:      0.5,
-					WarpFraction:     wf,
-					Precision:        FP64,
-					ProblemSizeAware: true,
-					Verify:           VerifyAll,
-				})
-				if err == nil {
-					break
+			for _, split := range SharedSplits {
+				for _, wf := range WarpFractions {
+					at := fmt.Sprintf("%s on %s (split %.2f, wf %.3f)", name, g.Name, split, wf)
+					sel, err := prog.SelectTiles(g, Options{
+						SplitFactor:      split,
+						WarpFraction:     wf,
+						Precision:        FP64,
+						ProblemSizeAware: true,
+					})
+					if err != nil {
+						unsat++
+						continue
+					}
+					if err := Certify(prog.Kernel(), g, sel); err != nil {
+						t.Errorf("%s: selection failed certification: %v", at, err)
+						continue
+					}
+					mk, err := prog.CompileCtx(ctx, g, sel.Tiles, RunConfig{UseShared: split > 0, Precision: FP64})
+					if err != nil {
+						t.Errorf("%s: compile failed: %v", at, err)
+						continue
+					}
+					if err := CertifyMapped(mk, g); err != nil {
+						t.Errorf("%s: compiled mapping failed certification: %v", at, err)
+						continue
+					}
+					certified++
 				}
-			}
-			if err != nil {
-				t.Logf("%s on %s: infeasible at every warp fraction (%v)", name, g.Name, err)
-				continue
-			}
-			if err := Certify(k, g, sel); err != nil {
-				t.Errorf("%s on %s: post-hoc certification failed: %v", name, g.Name, err)
-				continue
-			}
-			certified++
-			// The compiled mapping must certify too.
-			if _, err := prog.CompileCtx(context.Background(), g, sel.Tiles, RunConfig{
-				UseShared: true, Precision: FP64, Verify: VerifyAll,
-			}); err != nil {
-				t.Errorf("%s on %s: compile under Verify=All failed: %v", name, g.Name, err)
 			}
 		}
 	}
-	if certified < 20 {
-		t.Fatalf("only %d selections certified; expected the bulk of the catalog x 2 GPUs", certified)
+	t.Logf("%d selections and mappings certified, %d formulations unsatisfiable", certified, unsat)
+	if certified < 20*len(SharedSplits)*len(WarpFractions) {
+		t.Fatalf("only %d selections certified; expected the bulk of the catalog x 3 GPUs x the sibling grid", certified)
 	}
 }
 
@@ -165,24 +169,5 @@ func TestInjectedMappingBugIsCaught(t *testing.T) {
 	}
 	if v.Label != "grid-dims" {
 		t.Fatalf("expected grid-dims, got %q", v.Label)
-	}
-}
-
-// TestVerifyModeInCoreErrors pins that a selection failing certification
-// inside the solve path (Options.Verify) is reported as a hard error
-// wrapping the Violation. A correct pipeline never trips this, so the
-// test drives the path indirectly: certify-all over a normal solve must
-// succeed, and the sample mode must be a strict subset of all.
-func TestVerifyModeInCoreErrors(t *testing.T) {
-	k := MustKernel("atax")
-	g := Xavier()
-	opts := DefaultOptions()
-	opts.WarpFraction = 0.25
-	opts.Verify = VerifyAll
-	if _, err := SelectTiles(k, g, opts); err != nil {
-		t.Fatalf("certify-all solve failed: %v", err)
-	}
-	if VerifySample.ShouldVerify("key") && !VerifyAll.ShouldVerify("key") {
-		t.Fatal("sample must be a subset of all")
 	}
 }

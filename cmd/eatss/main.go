@@ -45,7 +45,7 @@ func main() {
 	cuda := flag.Bool("cuda", false, "print the generated CUDA-style code")
 	list := flag.Bool("list", false, "list available kernels")
 	lintFlag := flag.Bool("lint", false, "lint the kernel and exit (nonzero on error-severity findings)")
-	verifyFlag := flag.String("verify", "off", "independently certify results: off | sample | all")
+	verify := flag.Bool("verify", false, "independently certify every selection (and, without -best, its compiled mapping)")
 	timeTile := flag.Int64("timetile", 0, "fuse this many time steps per launch on repeated stencil nests (>1 enables)")
 	regTile := flag.Int64("regtile", 0, "register micro-tile factor: each thread computes an r x r block (>1 enables)")
 	tracePath := flag.String("trace", "", "write a Chrome trace-event file of the pipeline (load in chrome://tracing or ui.perfetto.dev)")
@@ -60,6 +60,12 @@ func main() {
 		"eatss -kernel gemm -dump-model -cuda     # show formulation and code",
 		"eatss -kernel gemm -listen 127.0.0.1:8080  # watch live at /progress")
 	flag.Parse()
+	// Every input is a flag, so a stray word is a usage error; in
+	// particular "-verify all" must not parse as -verify plus an
+	// ignored word.
+	if flag.NArg() > 0 {
+		usageError("unexpected argument %q", flag.Arg(0))
+	}
 	// Out-of-range fractions are usage errors, like a malformed flag.
 	if !(*split >= 0 && *split <= 1) {
 		usageError("-split %g is outside [0, 1]", *split)
@@ -149,10 +155,6 @@ func main() {
 		}
 		return
 	}
-	vmode, err := eatss.ParseVerifyMode(*verifyFlag)
-	if err != nil {
-		fatal(err)
-	}
 	var g *eatss.GPU
 	if *gpuFile != "" {
 		var err error
@@ -195,17 +197,12 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		// The protocol threads its own Options per split, so certify the
-		// surviving candidates after the fact.
-		for _, c := range b.Candidates {
-			if !vmode.ShouldVerify(k.Name + "|" + g.Name + "|" + fmt.Sprint(c.SharedFrac)) {
-				continue
+		if *verify {
+			for _, c := range b.Candidates {
+				if err := eatss.Certify(prog.Kernel(), g, c.Selection); err != nil {
+					fatal(err)
+				}
 			}
-			if err := eatss.Certify(prog.Kernel(), g, c.Selection); err != nil {
-				fatal(err)
-			}
-		}
-		if vmode != eatss.VerifyOff {
 			fmt.Printf("certified %d candidate selection(s)\n", len(b.Candidates))
 		}
 		fmt.Printf("EATSS protocol for %s on %s (%d candidates, %d solver calls)\n",
@@ -230,7 +227,6 @@ func main() {
 		WarpFraction:     *warpFrac,
 		Precision:        prec,
 		ProblemSizeAware: true,
-		Verify:           vmode,
 	}
 	sel, err := prog.SelectTilesCtx(ctx, g, opts)
 	if err != nil {
@@ -249,12 +245,23 @@ func main() {
 
 	cfg := eatss.RunConfig{
 		Params: params, UseShared: *split > 0, Precision: prec,
-		TimeTileFuse: *timeTile, RegTile: *regTile, Verify: vmode,
+		TimeTileFuse: *timeTile, RegTile: *regTile,
 	}
-	if *cuda || *summary {
+	if *verify {
+		if err := eatss.Certify(prog.Kernel(), g, sel); err != nil {
+			fatal(err)
+		}
+	}
+	if *cuda || *summary || *verify {
 		mk, err := prog.CompileCtx(ctx, g, sel.Tiles, cfg)
 		if err != nil {
 			fatal(err)
+		}
+		if *verify {
+			if err := eatss.CertifyMapped(mk, g); err != nil {
+				fatal(err)
+			}
+			fmt.Println("certified the selection and its compiled mapping")
 		}
 		if *cuda {
 			fmt.Println("\n--- generated CUDA ---")

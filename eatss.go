@@ -219,17 +219,13 @@ type RunConfig struct {
 	// PPCG code from vendor libraries). Nests where it is infeasible
 	// keep one point per thread.
 	RegTile int64
-	// Verify selects independent certification of each compiled mapping
-	// (launch geometry, staging footprint, register budget — see
-	// CertifyMapped). A failed certification is a hard compile error.
-	Verify VerifyMode
 	// Evaluator selects the evaluation backend for RunCtx,
 	// ExploreSpaceOpt and SelectBestEval (and, through them, autotune
 	// and the eatssd service): EvalSimulate (default) compiles and
 	// simulates each point; EvalSymbolic evaluates through a closed-form
 	// plan derived once per Program, falling back to simulation for
-	// residual points (configurations using TimeTileFuse, RegTile or
-	// Verify are outside the closed-form domain and always simulate).
+	// residual points (configurations using TimeTileFuse or RegTile
+	// are outside the closed-form domain and always simulate).
 	// CompileCtx ignores it — a MappedKernel is inherently a compile
 	// artifact.
 	Evaluator Evaluator

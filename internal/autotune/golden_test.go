@@ -2,6 +2,7 @@ package autotune
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -28,11 +29,13 @@ func writeOutcome(b *bytes.Buffer, label string, out Outcome) {
 	fmt.Fprintf(b, "tuning_time_sec=%s\n", f(out.TuningTimeSec))
 }
 
+var updateGolden = flag.Bool("update", false, "rewrite golden files")
+
 // TestTuneOutcomesGolden pins Tune's and HybridTune's decision sequences
 // on gemm and 2mm under both evaluation backends with DefaultConfig: any
 // change to how the tuners stage, seed or evaluate that moves a single
-// decision shows up as a diff. Rerun with UPDATE_GOLDEN=1 after verifying
-// an intended change.
+// decision shows up as a diff. Rerun with -update after verifying an
+// intended change.
 func TestTuneOutcomesGolden(t *testing.T) {
 	g := arch.GA100()
 	spaces := []struct {
@@ -56,7 +59,7 @@ func TestTuneOutcomesGolden(t *testing.T) {
 	got := buf.Bytes()
 
 	goldenPath := filepath.Join("testdata", "outcomes.golden")
-	if os.Getenv("UPDATE_GOLDEN") != "" {
+	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -66,9 +69,9 @@ func TestTuneOutcomesGolden(t *testing.T) {
 	}
 	want, err := os.ReadFile(goldenPath)
 	if err != nil {
-		t.Fatalf("%v (rerun with UPDATE_GOLDEN=1 to regenerate)", err)
+		t.Fatalf("%v (run `go test ./internal/autotune -run TuneOutcomesGolden -update` to create it)", err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Errorf("tuning outcomes drifted from golden (rerun with UPDATE_GOLDEN=1 after verifying).\n--- got ---\n%s\n--- want ---\n%s", got, want)
+		t.Errorf("tuning outcomes drifted from golden (rerun with -update after verifying).\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
 }

@@ -38,7 +38,6 @@ import (
 	"repro/internal/feas"
 	"repro/internal/obs"
 	"repro/internal/smt"
-	"repro/internal/verify"
 )
 
 // Telemetry instruments: selection outcomes and which constraint kinds
@@ -73,11 +72,6 @@ type Options struct {
 	// using the kernel's parameter bindings (Sec. IV-B). On in
 	// DefaultOptions and SelectSplit.
 	ProblemSizeAware bool
-	// Verify selects independent certification of each selection
-	// (internal/verify): the solver's model is replayed in arbitrary
-	// precision and the resource bounds are re-derived without the
-	// solver. A failed certification is a hard error.
-	Verify verify.Mode
 }
 
 // DefaultOptions mirrors the paper's GA100 matmul walkthrough: 50% split,
@@ -469,15 +463,6 @@ func SelectTilesAnalyzed(ctx context.Context, prog *analysis.Program, g *arch.GP
 	sel.Witness = &smt.Witness{Problem: witness, Model: model, Vars: wvars}
 	sel.SolveTime = obs.Now().Sub(start)
 
-	// Only Sample mode reads the key, so only it pays for formatting one.
-	if v := opts.Verify; v == verify.All || v == verify.Sample && v.ShouldVerify(verifyKey(k.Name, g.Name, opts)) {
-		if err := verify.CertifySelection(selectionFacts(prog, g, sel)); err != nil {
-			root.SetStr("verify_error", err.Error())
-			mVerifyFailures.Add(1)
-			return nil, fmt.Errorf("core: selection for %s on %s failed certification: %w", k.Name, g.Name, err)
-		}
-		mVerified.Add(1)
-	}
 	mSelections.Add(1)
 	mSolverCallsPerSelect.Observe(float64(sel.SolverCalls))
 	root.SetInt("objective", sel.Objective)

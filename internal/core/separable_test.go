@@ -152,7 +152,6 @@ func TestSeparableMatchesWholeProblemSearch(t *testing.T) {
 				if i%3 >= kc.maxWF {
 					continue
 				}
-				o.Verify = verify.All // certify the merged witness
 				name := fmt.Sprintf("%v on %s (split %.2f, wf %.3f)", shapes, g.Name, o.SplitFactor, o.WarpFraction)
 				f, err := formulate(prog, g, o)
 				if err != nil {
@@ -165,6 +164,15 @@ func TestSeparableMatchesWholeProblemSearch(t *testing.T) {
 				}
 				if err != nil {
 					continue
+				}
+				// Certify the merged witness.
+				if err := verify.CertifySelection(verify.SelectionFacts{
+					Kernel: k, Params: prog.Params, GPU: g,
+					Tiles: sel.Tiles, Witness: sel.Witness,
+					SplitFactor: o.SplitFactor, WarpFraction: o.WarpFraction,
+					Precision: o.Precision, ProblemSizeAware: o.ProblemSizeAware,
+				}); err != nil {
+					t.Errorf("%s: merged selection failed certification: %v", name, err)
 				}
 				if parts := f.p.Partition(f.objectives()...); len(parts) != len(shapes) {
 					t.Errorf("%s: %d components, want %d", name, len(parts), len(shapes))

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -46,6 +47,8 @@ func buildFixedTrace(t *testing.T) *Trace {
 	return tr
 }
 
+var updateGolden = flag.Bool("update", false, "rewrite golden files")
+
 func TestChromeTraceGolden(t *testing.T) {
 	Reset()
 	EnableMetrics()
@@ -62,7 +65,7 @@ func TestChromeTraceGolden(t *testing.T) {
 	got := buf.Bytes()
 
 	goldenPath := filepath.Join("testdata", "chrome_trace.golden.json")
-	if os.Getenv("UPDATE_GOLDEN") != "" {
+	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -72,10 +75,10 @@ func TestChromeTraceGolden(t *testing.T) {
 	}
 	want, err := os.ReadFile(goldenPath)
 	if err != nil {
-		t.Fatalf("%v (rerun with UPDATE_GOLDEN=1 to regenerate)", err)
+		t.Fatalf("%v (run `go test ./internal/obs -run ChromeTraceGolden -update` to create it)", err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Errorf("Chrome trace drifted from golden (rerun with UPDATE_GOLDEN=1 after verifying).\n--- got ---\n%s\n--- want ---\n%s", got, want)
+		t.Errorf("Chrome trace drifted from golden (rerun with -update after verifying).\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
 
 	// Independently of the golden bytes, the file must be valid trace-event

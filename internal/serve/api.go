@@ -363,16 +363,9 @@ func (s *Server) do(ctx context.Context, req *Request) *Response {
 			Params:      prog.Params(),
 		}
 	case "solve":
-		opts := solveOptions(req)
-		key := fmt.Sprintf("sel|%s|%s|%g|%g|%d", fp, g.Name, opts.SplitFactor, opts.WarpFraction, opts.Precision)
-		v, cached, coalesced, err := s.solved(ctx, key, func(wctx context.Context) (any, error) {
-			return prog.SelectTilesCtx(wctx, g, opts)
-		})
-		if err != nil {
+		if _, err := s.selectTiles(ctx, resp, req, prog, fp, g); err != nil {
 			return failFrom(resp, err)
 		}
-		resp.Cached, resp.Coalesced = cached, coalesced
-		resp.Selection = selectionView(v.(*eatss.Selection))
 	case "best":
 		prec := precisionOf(req)
 		resp.Evaluator = eval.String()
@@ -400,17 +393,10 @@ func (s *Server) do(ctx context.Context, req *Request) *Response {
 	case "compile", "simulate":
 		tiles := req.Tiles
 		if len(tiles) == 0 {
-			opts := solveOptions(req)
-			key := fmt.Sprintf("sel|%s|%s|%g|%g|%d", fp, g.Name, opts.SplitFactor, opts.WarpFraction, opts.Precision)
-			v, cached, coalesced, err := s.solved(ctx, key, func(wctx context.Context) (any, error) {
-				return prog.SelectTilesCtx(wctx, g, opts)
-			})
+			sel, err := s.selectTiles(ctx, resp, req, prog, fp, g)
 			if err != nil {
 				return failFrom(resp, err)
 			}
-			resp.Cached, resp.Coalesced = cached, coalesced
-			sel := v.(*eatss.Selection)
-			resp.Selection = selectionView(sel)
 			tiles = sel.Tiles
 		}
 		cfg := runConfig(req)
@@ -460,6 +446,25 @@ func (s *Server) do(ctx context.Context, req *Request) *Response {
 	resp.Status = StatusOK
 	resp.HTTPStatus = http.StatusOK
 	return resp
+}
+
+// selectTiles answers the request's solver selection through the
+// selection cache, keyed by the Program's fingerprint fp, the GPU and
+// the solve options: identical concurrent requests coalesce onto one solve.
+// It records the cache outcome and the selection on resp.
+func (s *Server) selectTiles(ctx context.Context, resp *Response, req *Request, prog *eatss.Program, fp string, g *eatss.GPU) (*eatss.Selection, error) {
+	opts := solveOptions(req)
+	key := fmt.Sprintf("sel|%s|%s|%g|%g|%d", fp, g.Name, opts.SplitFactor, opts.WarpFraction, opts.Precision)
+	v, cached, coalesced, err := s.solved(ctx, key, func(wctx context.Context) (any, error) {
+		return prog.SelectTilesCtx(wctx, g, opts)
+	})
+	if err != nil {
+		return nil, err
+	}
+	sel := v.(*eatss.Selection)
+	resp.Cached, resp.Coalesced = cached, coalesced
+	resp.Selection = selectionView(sel)
+	return sel, nil
 }
 
 // kernelOf resolves the request's kernel: exactly one of kernel|source.

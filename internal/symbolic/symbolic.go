@@ -18,7 +18,7 @@
 // What cannot be established exactly is "residual": a Derive that fails
 // (no parallel loop, an iterator that is not a nest loop) and any
 // configuration outside the supported domain (time-tiling, register
-// micro-tiles, verification) fall back to gpusim point evaluation in
+// micro-tiles) fall back to gpusim point evaluation in
 // the caller (the root package's evaluator seam), which counts and
 // reports the fallback rate.
 package symbolic
@@ -90,7 +90,7 @@ var ErrResidual = errors.New("symbolic: residual point (no closed form)")
 
 // Config is the options subset a plan is specialized for. It mirrors
 // codegen.Options: anything beyond it (time-tile fusion, register
-// micro-tiles, verification) is outside the supported domain and must
+// micro-tiles) is outside the supported domain and must
 // be routed to the simulator by the caller.
 type Config struct {
 	UseShared   bool

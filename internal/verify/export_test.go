@@ -4,8 +4,9 @@ import "math/big"
 
 // Bound exposes one entry of the certifier's resource derivation to the
 // external cross-check against internal/feas (crosscheck_test.go),
-// which must live in package verify_test: it needs core's selections,
-// and core imports verify.
+// which lives in package verify_test: it reads core's selections and
+// feas's regions, and only the tests of the certifier may import what
+// it certifies (selfcheck R8).
 type Bound struct {
 	Label, Nest string
 	Cap         int64

@@ -206,38 +206,3 @@ func TestCertifyMappingCorruptLaunches(t *testing.T) {
 	m.Launches = 0
 	wantViolation(t, CertifyMapping(m, arch.GA100()), "launches")
 }
-
-func TestModeParsingAndSampling(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Mode
-	}{{"off", Off}, {"", Off}, {"sample", Sample}, {"all", All}} {
-		got, err := ParseMode(tc.in)
-		if err != nil || got != tc.want {
-			t.Errorf("ParseMode(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
-		}
-	}
-	if _, err := ParseMode("bogus"); err == nil {
-		t.Error("ParseMode(bogus) should fail")
-	}
-	if Off.ShouldVerify("x") {
-		t.Error("Off must never verify")
-	}
-	if !All.ShouldVerify("x") {
-		t.Error("All must always verify")
-	}
-	// Sample is deterministic and selects roughly 1 in 8 keys.
-	hits := 0
-	for i := 0; i < 4096; i++ {
-		key := string(rune('a'+i%26)) + string(rune('0'+i%10)) + string(rune(i))
-		if Sample.ShouldVerify(key) {
-			hits++
-		}
-		if Sample.ShouldVerify(key) != Sample.ShouldVerify(key) {
-			t.Fatal("sampling must be deterministic")
-		}
-	}
-	if hits < 256 || hits > 1024 {
-		t.Errorf("Sample hit %d of 4096 keys; expected roughly 1 in 8", hits)
-	}
-}

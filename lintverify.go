@@ -1,7 +1,6 @@
 package eatss
 
 import (
-	"repro/internal/core"
 	"repro/internal/lint"
 	"repro/internal/parser"
 	"repro/internal/verify"
@@ -58,23 +57,6 @@ func ParseKernelNamed(src, name string) (*AffineKernel, error) {
 	return parser.ParseNamed(src, name)
 }
 
-// VerifyMode selects how often the pipeline certifies its own results
-// with the independent checker (internal/verify).
-type VerifyMode = verify.Mode
-
-// Verification modes.
-const (
-	// VerifyOff trusts the solver and mapper (the default).
-	VerifyOff = verify.Off
-	// VerifySample certifies a deterministic 1-in-8 subset of results.
-	VerifySample = verify.Sample
-	// VerifyAll certifies every result.
-	VerifyAll = verify.All
-)
-
-// ParseVerifyMode parses "off", "sample" or "all".
-func ParseVerifyMode(s string) (VerifyMode, error) { return verify.ParseMode(s) }
-
 // Violation is a certification failure: the named check (SMT constraint
 // label or certifier check) the result provably fails. Any Violation is
 // a bug — either an infeasible result escaped the solver/mapper or the
@@ -84,8 +66,13 @@ type Violation = verify.Violation
 // Certify independently certifies a tile selection for a kernel: the
 // solver's witness is replayed constraint by constraint in arbitrary
 // precision, and the warp-alignment, register and capacity bounds are
-// re-derived from the GPU description without the solver. nil means
-// certified; otherwise the error unwraps to a *Violation.
+// re-derived from the GPU description without the solver. The tile
+// upper bounds are re-derived under k.Params, so k must carry the
+// problem sizes the selection was solved under: for a selection from a
+// Program analyzed with params, pass prog.Kernel(), which has them
+// merged in. nil means certified; otherwise the error unwraps to a
+// *Violation. Certification is always this explicit call; no option
+// of the pipeline runs it.
 func Certify(k *AffineKernel, g *GPU, sel *Selection) error {
 	return verify.CertifySelection(verify.SelectionFacts{
 		Kernel:           k,
@@ -107,6 +94,3 @@ func Certify(k *AffineKernel, g *GPU, sel *Selection) error {
 func CertifyMapped(mk *MappedKernel, g *GPU) error {
 	return verify.CertifyKernel(mk, g)
 }
-
-// compile-time check that the re-exported option field types line up.
-var _ = core.Options{Verify: verify.Off}

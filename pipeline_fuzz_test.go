@@ -8,7 +8,6 @@ package eatss_test
 
 import (
 	"context"
-	"errors"
 	"math/rand"
 	"testing"
 
@@ -49,8 +48,7 @@ func TestRandomKernelsThroughPipeline(t *testing.T) {
 
 		// EATSS with warp-fraction fallback; nests without parallel loops
 		// are legitimately rejected. Every accepted selection must pass
-		// independent certification (the verify oracle) — both inside the
-		// solve (Verify=All) and post-hoc.
+		// independent certification (the verify oracle).
 		prog, err := eatss.Analyze(k, nil)
 		if err != nil {
 			t.Fatalf("seed %d: analyze failed: %v", seed, err)
@@ -61,7 +59,6 @@ func TestRandomKernelsThroughPipeline(t *testing.T) {
 			s, err := prog.SelectTiles(g, eatss.Options{
 				SplitFactor: 0.5, WarpFraction: wf,
 				Precision: eatss.FP64, ProblemSizeAware: true,
-				Verify: eatss.VerifyAll,
 			})
 			if err == nil {
 				sel = s
@@ -77,18 +74,20 @@ func TestRandomKernelsThroughPipeline(t *testing.T) {
 		}
 		tiles := sel.Tiles
 
-		res, _, err := prog.RunCtx(ctx, g, tiles, eatss.RunConfig{
-			UseShared: true, Precision: eatss.FP64, Verify: eatss.VerifyAll,
-		})
+		cfg := eatss.RunConfig{UseShared: true, Precision: eatss.FP64}
+		mk, err := prog.CompileCtx(ctx, g, tiles, cfg)
 		if err != nil {
 			// Failing to map (execution-model limits) is a legitimate
-			// outcome on random shapes; a certification Violation on a
-			// mapping that WAS produced is always a bug.
-			var v *eatss.Violation
-			if errors.As(err, &v) {
-				t.Fatalf("seed %d: compiled mapping failed certification: %v\nkernel:\n%s", seed, err, k)
-			}
+			// outcome on random shapes.
 			continue
+		}
+		// A mapping that WAS produced must certify.
+		if err := eatss.CertifyMapped(mk, g); err != nil {
+			t.Fatalf("seed %d: compiled mapping failed certification: %v\nkernel:\n%s", seed, err, k)
+		}
+		res, _, err := prog.RunCtx(ctx, g, tiles, cfg)
+		if err != nil {
+			t.Fatalf("seed %d: run of a mapped selection failed: %v\nkernel:\n%s", seed, err, k)
 		}
 		mapped++
 		if res.TimeSec <= 0 || res.EnergyJ <= 0 ||
@@ -113,7 +112,6 @@ func TestRandomKernelsThroughPipeline(t *testing.T) {
 		// closed-form evaluator must agree with the simulator — or fall
 		// back explicitly (counted, below). Single-point sweeps with
 		// caching off surface the backend attribution per evaluation.
-		cfg := eatss.RunConfig{UseShared: true, Precision: eatss.FP64}
 		simCfg, symCfg := cfg, cfg
 		symCfg.Evaluator = eatss.EvalSymbolic
 		point := []map[string]int64{tiles}

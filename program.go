@@ -12,7 +12,6 @@ import (
 	"repro/internal/lint"
 	"repro/internal/ppcg"
 	"repro/internal/symbolic"
-	"repro/internal/verify"
 )
 
 // Program is the staged-compilation artifact: everything about a
@@ -217,12 +216,6 @@ func compileAnalyzed(ctx context.Context, prog *analysis.Program, g *GPU, tiles 
 			}
 		}
 	}
-	if cfg.Verify.ShouldVerify(prog.Fingerprint() + "|" + g.Name + "|" + tileKey(tiles)) {
-		if err := verify.CertifyKernel(mk, g); err != nil {
-			return nil, fmt.Errorf("eatss: compiled mapping for %s on %s failed certification: %w",
-				prog.Kernel.Name, g.Name, err)
-		}
-	}
 	return mk, nil
 }
 
@@ -242,9 +235,9 @@ func runAnalyzed(ctx context.Context, prog *analysis.Program, g *GPU, tiles map[
 // symbolicSupported reports whether a RunConfig is inside the
 // closed-form domain: the mapping extensions (time-tile fusion,
 // register micro-tiles) restructure the launch in ways the plan does
-// not model, and certification requires a MappedKernel to certify.
+// not model.
 func symbolicSupported(cfg RunConfig) bool {
-	return cfg.TimeTileFuse <= 1 && cfg.RegTile <= 1 && cfg.Verify == VerifyOff
+	return cfg.TimeTileFuse <= 1 && cfg.RegTile <= 1
 }
 
 // planOrErr memoizes a Derive outcome — failures too, so an underivable

@@ -161,9 +161,9 @@ func sweepKeyPrefix(prog *analysis.Program, g *GPU, cfg RunConfig) string {
 	h := fnv.New64a()
 	io.WriteString(h, prog.Fingerprint())
 	fmt.Fprintf(h, "|%+v|", *g)
-	fmt.Fprintf(h, "%s|%t|%d|%v|%d|%d|%v|%v",
+	fmt.Fprintf(h, "%s|%t|%d|%v|%d|%d|%v",
 		tileKey(cfg.Params), cfg.UseShared, cfg.SharedQuota, cfg.Precision,
-		cfg.TimeTileFuse, cfg.RegTile, cfg.Verify, cfg.Evaluator)
+		cfg.TimeTileFuse, cfg.RegTile, cfg.Evaluator)
 	return strconv.FormatUint(h.Sum64(), 16) + "|"
 }
 

@@ -30,7 +30,13 @@
 //	R7  every directory under internal/ that holds non-test Go files is
 //	    imported by a non-test file outside that directory — code only
 //	    tests run (an oracle, a reference model) lives in _test.go
-//	    files, so it is not shipped in the build.
+//	    files, so it is not shipped in the build;
+//	R8  the certifier stays independent and post-hoc: no non-test file
+//	    of internal/verify imports a package whose results it
+//	    certifies (internal/core, feas, analysis, symbolic, ppcg,
+//	    gpusim), and no non-test file under internal/ imports
+//	    internal/verify — certification is an explicit call from the
+//	    root API or a command, never a step inside the pipeline.
 //
 // Test files and testdata are exempt. Run via `make selfcheck`; exits
 // nonzero when any rule fires.
@@ -122,6 +128,7 @@ func run(root string) ([]finding, error) {
 		for _, imp := range file.Imports {
 			imported[strings.Trim(imp.Path.Value, `"`)] = true
 		}
+		findings = append(findings, checkCertifier(fset, file, module, dir)...)
 		return nil
 	})
 	if err != nil {
@@ -164,6 +171,34 @@ func checkImported(module string, pkgs map[string]token.Position, imported map[s
 		if strings.HasPrefix(dir, "internal/") && !imported[module+"/"+dir] {
 			out = append(out, finding{pos: pos, rule: "R7",
 				msg: fmt.Sprintf("package %s has no non-test importer; code only tests run belongs in _test.go files", dir)})
+		}
+	}
+	return out
+}
+
+// certified are the internal/ packages whose results internal/verify
+// re-decides; R8 keeps the certifier from importing them.
+var certified = []string{"core", "feas", "analysis", "symbolic", "ppcg", "gpusim"}
+
+// inPkg reports whether dir is the package pkg or one nested under it.
+func inPkg(dir, pkg string) bool { return dir == pkg || strings.HasPrefix(dir, pkg+"/") }
+
+// checkCertifier implements R8 for one non-test file in directory dir.
+func checkCertifier(fset *token.FileSet, file *ast.File, module, dir string) []finding {
+	var out []finding
+	for _, imp := range file.Imports {
+		p := strings.TrimPrefix(strings.Trim(imp.Path.Value, `"`), module+"/")
+		switch {
+		case inPkg(dir, "internal/verify"):
+			for _, c := range certified {
+				if inPkg(p, "internal/"+c) {
+					out = append(out, finding{pos: fset.Position(imp.Pos()), rule: "R8",
+						msg: fmt.Sprintf("the certifier imports %s, whose results it certifies; re-derive what it checks instead", p)})
+				}
+			}
+		case strings.HasPrefix(dir, "internal/") && inPkg(p, "internal/verify"):
+			out = append(out, finding{pos: fset.Position(imp.Pos()), rule: "R8",
+				msg: fmt.Sprintf("package %s imports the certifier; certification is a post-hoc call from the root API or a command", dir)})
 		}
 	}
 	return out
