@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all fmt vet build test race sweep-race obs-bench profile-demo lint-gate selfcheck symbolic-parity symbolic-bench bench-module golden-repeat check clean
+.PHONY: all fmt vet build test race sweep-race obs-bench profile-demo lint-gate selfcheck symbolic-parity symbolic-bench bench-module benchtables-smoke golden-repeat check clean
 
 all: check
 
@@ -104,6 +104,13 @@ selfcheck:
 bench-module:
 	cd cmd/bench && $(GO) vet ./... && $(GO) test -count=1 ./...
 
+# benchtables-smoke drives the evaluation CLI end to end: it lists the
+# experiment registry and exports fig1's CSV series into a temporary
+# directory, which it removes again, so it writes no tracked file.
+benchtables-smoke:
+	$(GO) run ./cmd/benchtables -list
+	d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && $(GO) run ./cmd/benchtables -only fig1 -csv "$$d"
+
 # golden-repeat runs every golden test (each one's name contains
 # "Golden") twice in one process, so a golden that depends on what ran
 # earlier in the process, such as an ID from a process-wide counter,
@@ -116,10 +123,10 @@ golden-repeat:
 # kernel lint gate, the concurrency race gate, the symbolic-backend
 # parity and speedup gates, the zero-cost-observability guard, the
 # attribution-profiler demo, the benchmark module's vet and tests, the
-# golden tests run twice in one process, and the full test suite under
+# benchtables smoke run, the golden tests run twice in one process, and the full test suite under
 # the race detector (which holds the staged-compilation,
 # static-feasibility and service-herd gates). It writes no tracked file.
-check: fmt vet build selfcheck lint-gate sweep-race symbolic-parity symbolic-bench obs-bench profile-demo bench-module golden-repeat race
+check: fmt vet build selfcheck lint-gate sweep-race symbolic-parity symbolic-bench obs-bench profile-demo bench-module benchtables-smoke golden-repeat race
 
 clean:
 	$(GO) clean ./...

@@ -1,13 +1,14 @@
 package eatss_test
 
-// The benchmark harness: one testing.B benchmark per table and figure of
-// the paper's evaluation (see DESIGN.md's per-experiment index). Each
-// benchmark regenerates its artifact through the full pipeline and prints
-// the rendered table once, so
+// The benchmark harness: one sub-benchmark per entry of the experiment
+// registry (internal/bench.Experiments; see DESIGN.md's per-experiment
+// index), each on the GA100 like cmd/benchtables' default. Each
+// sub-benchmark regenerates its artifact through the full pipeline and
+// prints the rendered text once, so
 //
-//	go test -bench=. -benchmem ./...
+//	go test -run '^$' -bench '^BenchmarkExperiments$' .
 //
-// reproduces the entire evaluation in one run. Shape assertions live in
+// reproduces the evaluation in one run. Shape assertions live in
 // internal/bench's tests; these benchmarks measure the cost of
 // regeneration and emit the artifacts themselves.
 
@@ -22,168 +23,18 @@ import (
 
 var printOnce sync.Map
 
-// emit prints an experiment's rendering exactly once per process, however
-// many times the benchmark harness re-invokes the function.
-func emit(name, rendered string) {
-	if _, loaded := printOnce.LoadOrStore(name, true); !loaded {
-		fmt.Printf("\n%s\n", rendered)
-	}
-}
-
-func BenchmarkFig1PowerVsSize(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f := bench.Fig1(arch.GA100(), nil)
-		emit("fig1", f.Render())
-	}
-}
-
-func BenchmarkFig2TileSpace2mm(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f := bench.Fig2("2mm", arch.GA100())
-		emit("fig2-2mm", f.Render())
-	}
-}
-
-func BenchmarkFig2TileSpaceGemm(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f := bench.Fig2("gemm", arch.GA100())
-		emit("fig2-gemm", f.Render())
-	}
-}
-
-func BenchmarkFig3TileSpaceBothGPUs(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f := bench.Fig3()
-		emit("fig3", f.Render())
-	}
-}
-
-func BenchmarkFig7PolybenchGA100(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f := bench.Fig7(arch.GA100(), nil)
-		emit("fig7-ga100", f.Render())
-	}
-}
-
-func BenchmarkFig7PolybenchXavier(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f := bench.Fig7(arch.Xavier(), nil)
-		emit("fig7-xavier", f.Render())
-	}
-}
-
-func BenchmarkFig8SharedMemSplits(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f := bench.Fig8(arch.GA100(), nil, nil)
-		emit("fig8", f.Render())
-	}
-}
-
-func BenchmarkFig9L2PowerCorrelation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f := bench.Fig9(arch.GA100(), nil)
-		emit("fig9", f.Render())
-	}
-}
-
-func BenchmarkFig10NonPolybench(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f := bench.Fig10(arch.GA100())
-		emit("fig10", f.Render())
-	}
-}
-
-func BenchmarkFig11Histogram(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f := bench.Fig11(arch.GA100())
-		emit("fig11", f.Render())
-	}
-}
-
-func BenchmarkFig12InputSizeSensitivity(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f := bench.Fig12(arch.GA100(), nil, nil)
-		emit("fig12", f.Render())
-	}
-}
-
-func BenchmarkFig13NonPolybenchSensitivity(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f := bench.Fig13(arch.GA100(), nil)
-		emit("fig13", f.Render())
-	}
-}
-
-func BenchmarkTable4CuXXComparison(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f := bench.Table4()
-		emit("table4", f.Render())
-	}
-}
-
-func BenchmarkFig14Ytopt(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f := bench.Fig14(nil, nil)
-		emit("fig14", f.Render())
-	}
-}
-
-func BenchmarkSecVGSolverOverhead(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f := bench.SecVG(arch.GA100())
-		emit("secvg", f.Render())
-	}
-}
-
-// --- ablation benches for the design choices DESIGN.md calls out ---
-
-func BenchmarkAblationObjective(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f := bench.AblateObjective(arch.GA100(), nil)
-		emit("ablation-objective", f.Render())
-	}
-}
-
-func BenchmarkAblationMemorySplit(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f := bench.AblateMemorySplit(arch.GA100(), nil)
-		emit("ablation-memsplit", f.Render())
-	}
-}
-
-func BenchmarkAblationWarpFraction(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f := bench.AblateWarpFraction(arch.GA100())
-		emit("ablation-warpfrac", f.Render())
-	}
-}
-
-func BenchmarkAblationFPFactor(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f := bench.AblateFPFactor(arch.GA100())
-		emit("ablation-fpfactor", f.Render())
-	}
-}
-
-// --- beyond-paper extension benches ---
-
-func BenchmarkExtensionTimeTiling(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f := bench.TimeTilingStudy(arch.GA100(), nil, nil)
-		emit("ext-timetile", f.Render())
-	}
-}
-
-func BenchmarkExtensionRegisterTiling(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f := bench.RegTileStudy(arch.GA100(), nil, nil)
-		emit("ext-regtile", f.Render())
-	}
-}
-
-func BenchmarkExtensionPrecision(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f := bench.PrecisionStudy(arch.GA100(), nil)
-		emit("ext-precision", f.Render())
+func BenchmarkExperiments(b *testing.B) {
+	g := arch.GA100()
+	for _, e := range bench.Experiments {
+		b.Run(e.ID, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				text, _ := e.Run(g)
+				// Print once per process, however many times the
+				// harness re-invokes the sub-benchmark.
+				if _, loaded := printOnce.LoadOrStore(e.ID, true); !loaded {
+					fmt.Printf("\n%s\n", text)
+				}
+			}
+		})
 	}
 }

@@ -1,5 +1,6 @@
 // Command benchtables regenerates every table and figure of the paper's
-// evaluation section on the simulated GA100 and Xavier testbeds.
+// evaluation section on the simulated GA100 and Xavier testbeds, as
+// text tables or as the CSV series behind them.
 //
 // Usage:
 //
@@ -7,130 +8,109 @@
 //	benchtables -only fig7       # one experiment
 //	benchtables -gpu xavier      # restrict GPU where applicable
 //	benchtables -list            # list experiment ids
+//	benchtables -csv figdata     # write the CSV series instead
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"path/filepath"
 	"strings"
 
-	"repro/internal/arch"
+	eatss "repro"
+
 	"repro/internal/bench"
 	"repro/internal/cli"
 )
 
-type experiment struct {
-	id   string
-	desc string
-	run  func(g *arch.GPU) string
-}
-
-func experiments() []experiment {
-	return []experiment{
-		{"fig1", "gemm power vs problem size", func(g *arch.GPU) string {
-			return bench.Fig1(g, nil).Render()
-		}},
-		{"fig2", "2mm/gemm exhaustive tile space (3,375 variants)", func(g *arch.GPU) string {
-			return bench.Fig2("2mm", g).Render() + bench.Fig2("gemm", g).Render()
-		}},
-		{"fig3", "2mm space on both GPUs", func(g *arch.GPU) string {
-			return bench.Fig3().Render()
-		}},
-		{"fig7", "Polybench evaluation (Med/Def/Best PPCG vs EATSS)", func(g *arch.GPU) string {
-			return bench.Fig7(g, nil).Render()
-		}},
-		{"fig8", "shared-memory split study", func(g *arch.GPU) string {
-			return bench.Fig8(g, nil, nil).Render()
-		}},
-		{"fig9", "L2 sectors vs power correlation", func(g *arch.GPU) string {
-			return bench.Fig9(g, nil).Render()
-		}},
-		{"fig10", "non-Polybench kernels with warp fractions", func(g *arch.GPU) string {
-			return bench.Fig10(g).Render()
-		}},
-		{"fig11", "non-Polybench space histograms (Freedman-Diaconis)", func(g *arch.GPU) string {
-			return bench.Fig11(g).Render()
-		}},
-		{"fig12", "input-size sensitivity (Polybench)", func(g *arch.GPU) string {
-			return bench.Fig12(g, nil, nil).Render()
-		}},
-		{"fig13", "input-size sensitivity (non-Polybench)", func(g *arch.GPU) string {
-			return bench.Fig13(g, nil).Render()
-		}},
-		{"table4", "cuBLAS / cuDNN comparison", func(g *arch.GPU) string {
-			return bench.Table4().Render()
-		}},
-		{"fig14", "EATSS vs ytopt autotuner", func(g *arch.GPU) string {
-			return bench.Fig14(g, nil).Render()
-		}},
-		{"secvg", "solver overhead by loop depth", func(g *arch.GPU) string {
-			return bench.SecVG(g).Render()
-		}},
-		{"timetile", "extension: overlapped time tiling on stencils", func(g *arch.GPU) string {
-			return bench.TimeTilingStudy(g, nil, nil).Render()
-		}},
-		{"regtile", "extension: register micro-tiles on BLAS3", func(g *arch.GPU) string {
-			return bench.RegTileStudy(g, nil, nil).Render()
-		}},
-		{"precision", "Sec. IV-I precision adaptation study", func(g *arch.GPU) string {
-			return bench.PrecisionStudy(g, nil).Render()
-		}},
-		{"ablation", "design-choice ablations", func(g *arch.GPU) string {
-			return bench.AblateObjective(g, nil).Render() +
-				bench.AblateMemorySplit(g, nil).Render() +
-				bench.AblateWarpFraction(g).Render() +
-				bench.AblateFPFactor(g).Render()
-		}},
-	}
-}
-
 func main() {
 	only := flag.String("only", "", "comma-separated experiment ids (default: all)")
-	gpuName := flag.String("gpu", "ga100", "GPU for single-GPU experiments (ga100|xavier)")
+	gpuName := flag.String("gpu", "ga100", "GPU for single-GPU experiments: ga100 | xavier | v100")
 	list := flag.Bool("list", false, "list experiment ids and exit")
-	j := flag.Int("j", 0, "parallel sweep workers (0 = GOMAXPROCS, 1 = sequential)")
+	csvDir := flag.String("csv", "", "write the selected experiments' CSV series into this directory instead of printing tables")
 	listen := cli.ListenFlag()
 	cli.SetUsage("benchtables", "regenerate the tables and figures of the paper's evaluation section",
 		"benchtables                  # everything",
 		"benchtables -only fig7       # one experiment",
 		"benchtables -gpu xavier      # restrict GPU where applicable",
 		"benchtables -list            # list experiment ids",
+		"benchtables -csv figdata     # CSV series behind every figure",
 		"benchtables -listen :8080    # watch long sweeps at /progress")
 	flag.Parse()
-	bench.Workers = *j
 	defer cli.Serve(*listen)()
 
-	exps := experiments()
 	if *list {
-		for _, e := range exps {
-			fmt.Printf("%-8s %s\n", e.id, e.desc)
+		for _, e := range bench.Experiments {
+			fmt.Printf("%-8s %s\n", e.ID, e.Desc)
 		}
 		return
 	}
-	g, ok := arch.ByName(*gpuName)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "benchtables: unknown GPU %q (use ga100 or xavier)\n", *gpuName)
-		os.Exit(2)
+	g, err := eatss.GPUByName(*gpuName)
+	if err != nil {
+		usageError(err)
+	}
+	var ids []string
+	if *only != "" {
+		ids = strings.Split(*only, ",")
+		for i := range ids {
+			ids[i] = strings.TrimSpace(ids[i])
+		}
+	}
+	exps, err := bench.Select(ids)
+	if err != nil {
+		usageError(fmt.Errorf("%v (use -list)", err))
 	}
 
-	selected := map[string]bool{}
-	if *only != "" {
-		for _, id := range strings.Split(*only, ",") {
-			selected[strings.TrimSpace(id)] = true
+	if *csvDir == "" {
+		for _, e := range exps {
+			fmt.Printf("### %s: %s\n\n", e.ID, e.Desc)
+			text, _ := e.Run(g)
+			fmt.Println(text)
 		}
+		return
 	}
-	ran := 0
+
+	// Run everything before writing anything, so a selection naming an
+	// experiment without CSV series fails without leaving partial output.
+	var series []bench.CSV
+	var noCSV []string
 	for _, e := range exps {
-		if len(selected) > 0 && !selected[e.id] {
-			continue
+		_, s := e.Run(g)
+		if len(s) == 0 {
+			noCSV = append(noCSV, e.ID)
 		}
-		fmt.Printf("### %s: %s\n\n", e.id, e.desc)
-		fmt.Println(e.run(g))
-		ran++
+		series = append(series, s...)
 	}
-	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "benchtables: no experiment matched %q (use -list)\n", *only)
-		os.Exit(2)
+	if ids != nil && len(noCSV) > 0 {
+		usageError(fmt.Errorf("no CSV series for %s", strings.Join(noCSV, ", ")))
 	}
+	if err := os.MkdirAll(*csvDir, 0o755); err != nil {
+		cli.Fatal(err)
+	}
+	for _, s := range series {
+		path := filepath.Join(*csvDir, s.Name)
+		if err := writeFile(path, s.Write); err != nil {
+			cli.Fatal(err)
+		}
+		fmt.Println("wrote", path)
+	}
+}
+
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+func usageError(err error) {
+	fmt.Fprintf(os.Stderr, "benchtables: %v\n", err)
+	os.Exit(2)
 }

@@ -8,7 +8,6 @@
 //	explore -kernel 2mm                  # the paper's 3,375-variant space
 //	explore -kernel mvt -gpu xavier
 //	explore -kernel heat-3d -top 20
-//	explore -kernel 2mm -j 8             # sweep with 8 parallel workers
 package main
 
 import (
@@ -24,16 +23,14 @@ import (
 
 func main() {
 	kernel := flag.String("kernel", "2mm", "kernel name")
-	gpuName := flag.String("gpu", "ga100", "GPU: ga100 | xavier")
+	gpuName := flag.String("gpu", "ga100", "GPU: ga100 | xavier | v100")
 	top := flag.Int("top", 10, "how many top variants to print")
 	paper15 := flag.Bool("paper15", false, "force the 15-sizes-per-dim space for 3D kernels")
-	j := flag.Int("j", 0, "parallel sweep workers (0 = GOMAXPROCS, 1 = sequential)")
 	evalName := flag.String("evaluator", "simulate", "evaluation backend: simulate | symbolic (auto = symbolic)")
 	listen := cli.ListenFlag()
 	cli.SetUsage("explore", "evaluate a kernel's full tile space on the simulated GPU",
 		"explore -kernel 2mm                  # the paper's 3,375-variant space",
 		"explore -kernel mvt -gpu xavier",
-		"explore -kernel 2mm -j 8             # sweep with 8 parallel workers",
 		"explore -kernel 2mm -evaluator auto  # closed-form evaluation with fallback",
 		"explore -kernel 2mm -listen :8080    # watch the sweep at /progress")
 	flag.Parse()
@@ -72,8 +69,7 @@ func main() {
 	} else {
 		space = eatss.Space(k, []int64{4, 8, 16, 32, 64})
 	}
-	pts, stats := prog.ExploreSpaceOpt(context.Background(), g, space, cfg,
-		eatss.SweepOptions{Workers: *j})
+	pts, stats := prog.ExploreSpaceOpt(context.Background(), g, space, cfg, eatss.SweepOptions{})
 	if len(pts) == 0 {
 		fatal(fmt.Errorf("no valid variants for %s (%d of %d configurations failed to map)",
 			*kernel, stats.Skipped, len(space)))

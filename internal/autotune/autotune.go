@@ -53,13 +53,6 @@ type Config struct {
 	// UseShared / Precision configure the evaluated kernels.
 	UseShared bool
 	Precision affine.Precision
-	// Workers bounds the concurrency of the bootstrap phase's
-	// evaluations (0 = GOMAXPROCS). Evaluation is rng-free, and results
-	// are folded back in dispatch order, so the tuner's decision
-	// sequence — and therefore its outcome — is identical for any
-	// worker count. The surrogate rounds stay sequential: each choice
-	// depends on all prior observations.
-	Workers int
 	// Evaluator picks the backend that scores configurations: the full
 	// simulator (EvalSimulate, the default) or the closed-form symbolic
 	// plan with simulator fallback on residual configurations
@@ -178,7 +171,7 @@ func Tune(k *affine.Kernel, g *arch.GPU, space []map[string]int64, cfg Config) O
 		obs Observation
 		ok  bool
 	}
-	bootOut, bootDone, _ := sweep.Map(context.Background(), cfg.Workers, boot,
+	bootOut, bootDone, _ := sweep.Map(context.Background(), 0, boot,
 		func(wctx context.Context, _ int, i int) bootObs {
 			o, ok := evaluate(wctx, space[i])
 			return bootObs{obs: o, ok: ok}

@@ -39,7 +39,7 @@ func HybridTune(k *affine.Kernel, g *arch.GPU, space []map[string]int64, cfg Con
 	// high-dimensional kernels). The three splits' solves are
 	// independent, so they run on the worker pool; folding in split
 	// order keeps the seed list deterministic.
-	seedOut, seedDone, _ := sweep.Map(context.Background(), cfg.Workers, eatss.SharedSplits,
+	seedOut, seedDone, _ := sweep.Map(context.Background(), 0, eatss.SharedSplits,
 		func(wctx context.Context, _ int, split float64) map[string]int64 {
 			sel, err := prog.SelectSplit(wctx, g, split, cfg.Precision)
 			if err != nil {
@@ -74,7 +74,7 @@ func HybridTune(k *affine.Kernel, g *arch.GPU, space []map[string]int64, cfg Con
 		obs Observation
 		ok  bool
 	}
-	evalOut, evalDone, _ := sweep.Map(context.Background(), cfg.Workers, seeds,
+	evalOut, evalDone, _ := sweep.Map(context.Background(), 0, seeds,
 		func(wctx context.Context, _ int, tiles map[string]int64) seedObs {
 			o, ok := evaluateOne(wctx, tiles)
 			return seedObs{obs: o, ok: ok}

@@ -45,7 +45,7 @@ func Fig1(g *arch.GPU, sizes []int64) *Fig1Result {
 		res eatss.Result
 		ok  bool
 	}
-	rows, done, _ := sweep.Map(context.Background(), Workers, sizes,
+	rows, done, _ := sweep.Map(context.Background(), 0, sizes,
 		func(ctx context.Context, _ int, n int64) sized {
 			prog, err := eatss.AnalyzeCtx(ctx, k, map[string]int64{"NI": n, "NJ": n, "NK": n})
 			if err != nil {

@@ -55,7 +55,7 @@ func Fig7(g *arch.GPU, kernels []string) *Fig7Result {
 		row Fig7Row
 		ok  bool
 	}
-	results, doneIdx, _ := sweep.Map(context.Background(), Workers, kernels,
+	results, doneIdx, _ := sweep.Map(context.Background(), 0, kernels,
 		func(_ context.Context, _ int, name string) fig7Out {
 			params := ParamsFor(name, g)
 			variants, def := Explore(name, g, params, true, false)

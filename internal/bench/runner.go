@@ -12,12 +12,6 @@ import (
 	"repro/internal/arch"
 )
 
-// Workers bounds the concurrency of the bench sweeps — both the
-// tile-space sweeps inside Explore and the per-figure fan-outs (Fig. 1's
-// problem sizes, Fig. 7's kernels). 0 means GOMAXPROCS. Figure outputs
-// are input-ordered and therefore identical for any setting.
-var Workers int
-
 // SpaceSizesFor returns candidate tile sizes sized so a kernel of the
 // given maximum loop depth yields an exploration space in the paper's
 // 200–800-variant range (Sec. V-A), except depth 3 with paper15=true,
@@ -57,8 +51,7 @@ func Explore(name string, g *arch.GPU, params map[string]int64, useShared bool, 
 		return nil, eatss.Result{}
 	}
 	space := eatss.Space(k, SpaceSizesFor(k.MaxDepth(), paper15))
-	variants, _ = prog.ExploreSpaceOpt(context.Background(), g, space, cfg,
-		eatss.SweepOptions{Workers: Workers})
+	variants, _ = prog.ExploreSpaceOpt(context.Background(), g, space, cfg, eatss.SweepOptions{})
 	def, _, _ = prog.RunCtx(context.Background(), g, eatss.DefaultTiles(k), cfg)
 	return variants, def
 }

@@ -110,14 +110,15 @@ func TestRandomKernelsThroughPipeline(t *testing.T) {
 
 		// Backend-parity oracle: on shapes no catalog entry has, the
 		// closed-form evaluator must agree with the simulator — or fall
-		// back explicitly (counted, below). Single-point sweeps with
-		// caching off surface the backend attribution per evaluation.
+		// back explicitly (counted, below). Single-point sweeps into
+		// fresh caches surface the backend attribution per evaluation.
 		simCfg, symCfg := cfg, cfg
 		symCfg.Evaluator = eatss.EvalSymbolic
 		point := []map[string]int64{tiles}
-		opt := eatss.SweepOptions{Cache: eatss.NoCache, Workers: 1}
-		simPts, _ := prog.ExploreSpaceOpt(ctx, g, point, simCfg, opt)
-		symPts, symStats := prog.ExploreSpaceOpt(ctx, g, point, symCfg, opt)
+		simPts, _ := prog.ExploreSpaceOpt(ctx, g, point, simCfg,
+			eatss.SweepOptions{Cache: eatss.NewEvalCache(), Workers: 1})
+		symPts, symStats := prog.ExploreSpaceOpt(ctx, g, point, symCfg,
+			eatss.SweepOptions{Cache: eatss.NewEvalCache(), Workers: 1})
 		if len(simPts) != len(symPts) {
 			t.Fatalf("seed %d: backends disagree on validity: %d vs %d points\nkernel:\n%s",
 				seed, len(simPts), len(symPts), k)

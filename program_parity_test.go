@@ -18,7 +18,7 @@ import (
 
 // TestProgramExploreSpaceParityGemmPaperSpace sweeps gemm's full
 // 15^3-point paper space twice — once through the one-shot package-level
-// helper, once through a shared Program — with memoization off, and
+// helper, once through a shared Program — each into a fresh cache, and
 // requires byte-identical points and stats. It then re-evaluates every
 // point through a fresh Program per point, the pre-staged pipeline.
 func TestProgramExploreSpaceParityGemmPaperSpace(t *testing.T) {
@@ -28,14 +28,14 @@ func TestProgramExploreSpaceParityGemmPaperSpace(t *testing.T) {
 	space := eatss.PaperSpace(k)
 
 	legacyPts, legacyStats := eatss.ExploreSpaceOpt(context.Background(), k, g, space, cfg,
-		eatss.SweepOptions{Cache: eatss.NoCache})
+		eatss.SweepOptions{Cache: eatss.NewEvalCache()})
 
 	prog, err := eatss.Analyze(k, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	progPts, progStats := prog.ExploreSpaceOpt(context.Background(), g, space, cfg,
-		eatss.SweepOptions{Cache: eatss.NoCache})
+		eatss.SweepOptions{Cache: eatss.NewEvalCache()})
 
 	if legacyStats != progStats {
 		t.Fatalf("stats diverge: legacy %+v, program %+v", legacyStats, progStats)
@@ -92,7 +92,7 @@ func TestProgramSelectBestParityGemm(t *testing.T) {
 	}
 	prog.ExploreSpaceOpt(ctx, g, eatss.Space(k, []int64{16, 32, 64}),
 		eatss.RunConfig{UseShared: true, Precision: eatss.FP64, Evaluator: eatss.EvalSymbolic},
-		eatss.SweepOptions{Cache: eatss.NoCache})
+		eatss.SweepOptions{Cache: eatss.NewEvalCache()})
 	warm, err := prog.SelectBestEval(ctx, g, eatss.FP64, eatss.EvalSimulate)
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +125,7 @@ func TestSweepStagesAnalysisOnce(t *testing.T) {
 		space := eatss.Space(k, []int64{16, 32}) // 2^3 = 8 points
 		pts, stats := eatss.ExploreSpaceOpt(context.Background(), k, g, space,
 			eatss.RunConfig{UseShared: true, Precision: eatss.FP64},
-			eatss.SweepOptions{Cache: eatss.NoCache})
+			eatss.SweepOptions{Cache: eatss.NewEvalCache()})
 		if stats.Evaluated == 0 {
 			t.Fatal("sweep evaluated nothing")
 		}

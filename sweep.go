@@ -51,8 +51,8 @@ type SweepOptions struct {
 	// Cache memoizes (kernel, GPU, tiles, RunConfig) evaluations so
 	// repeated points across sweeps — e.g. the same tile configuration
 	// appearing in two figures' spaces — compile and simulate once.
-	// nil uses the process-wide DefaultEvalCache; NoCache disables
-	// memoization (every point is evaluated fresh).
+	// nil uses the process-wide DefaultEvalCache; a fresh NewEvalCache
+	// evaluates every distinct point once.
 	Cache *EvalCache
 	// Prune pre-filters the space through the static feasibility
 	// analysis (internal/feas): points that provably violate the
@@ -75,8 +75,7 @@ type SweepOptions struct {
 // value; tile maps are never stored, so cached entries cannot alias
 // caller-owned maps.
 type EvalCache struct {
-	disabled bool
-	c        *lru.Cache[evalEntry]
+	c *lru.Cache[evalEntry]
 }
 
 type evalEntry struct {
@@ -99,12 +98,9 @@ func NewEvalCache() *EvalCache {
 // is nil — it is what lets the bench figures share evaluations.
 var DefaultEvalCache = NewEvalCache()
 
-// NoCache disables memoization when set as SweepOptions.Cache.
-var NoCache = &EvalCache{disabled: true}
-
 // Len returns the number of cached evaluations.
 func (c *EvalCache) Len() int {
-	if c == nil || c.disabled {
+	if c == nil {
 		return 0
 	}
 	return c.c.Len()
@@ -112,7 +108,7 @@ func (c *EvalCache) Len() int {
 
 // Stats returns the cache's cumulative hit/miss counts.
 func (c *EvalCache) Stats() (hits, misses int64) {
-	if c == nil || c.disabled {
+	if c == nil {
 		return 0, 0
 	}
 	hits, misses, _ = c.c.Stats()
@@ -121,7 +117,7 @@ func (c *EvalCache) Stats() (hits, misses int64) {
 
 // Evictions returns how many entries LRU eviction has dropped.
 func (c *EvalCache) Evictions() int64 {
-	if c == nil || c.disabled {
+	if c == nil {
 		return 0
 	}
 	_, _, ev := c.c.Stats()
@@ -130,23 +126,13 @@ func (c *EvalCache) Evictions() int64 {
 
 // Clear drops every cached evaluation (the hit/miss counters are kept).
 func (c *EvalCache) Clear() {
-	if c == nil || c.disabled {
+	if c == nil {
 		return
 	}
 	c.c.Purge()
 }
 
-func (c *EvalCache) get(key string) (evalEntry, bool) {
-	if c == nil || c.disabled {
-		return evalEntry{}, false
-	}
-	return c.c.Get(key)
-}
-
 func (c *EvalCache) put(key string, e evalEntry) {
-	if c == nil || c.disabled {
-		return
-	}
 	if c.c.Put(key, e) {
 		mSweepCacheEvictions.Add(1)
 	}
@@ -293,24 +279,18 @@ func exploreAnalyzed(ctx context.Context, prog *analysis.Program, g *GPU, space 
 	if cache == nil {
 		cache = DefaultEvalCache
 	}
-	var prefix string
-	if !cache.disabled {
-		prefix = sweepKeyPrefix(prog, g, cfg)
-	}
+	prefix := sweepKeyPrefix(prog, g, cfg)
 
 	outcomes, done, cerr := sweep.Map(ctx, opt.Workers, space,
 		func(wctx context.Context, i int, tiles map[string]int64) sweepOutcome {
-			var key string
-			if !cache.disabled {
-				key = prefix + tileKey(tiles)
-				if e, ok := cache.get(key); ok {
-					mSweepCacheHits.Add(1)
-					progress.PointDone(true, e.ok)
-					flight.Default.SweepPoint(prog.Kernel.Name, int64(i), e.ok, true)
-					return sweepOutcome{res: e.res, ok: e.ok, hit: true}
-				}
-				mSweepCacheMisses.Add(1)
+			key := prefix + tileKey(tiles)
+			if e, ok := cache.c.Get(key); ok {
+				mSweepCacheHits.Add(1)
+				progress.PointDone(true, e.ok)
+				flight.Default.SweepPoint(prog.Kernel.Name, int64(i), e.ok, true)
+				return sweepOutcome{res: e.res, ok: e.ok, hit: true}
 			}
+			mSweepCacheMisses.Add(1)
 			evalStart := obs.Now()
 			res, info, err := evalAnalyzed(wctx, prog, g, tiles, cfg)
 			mSweepPointSec.Observe(obs.Now().Sub(evalStart).Seconds())

@@ -25,9 +25,9 @@ func TestCancelledSweepDoesNotPoisonEvalCache(t *testing.T) {
 	}
 	cfg := eatss.RunConfig{UseShared: true, Precision: eatss.FP64}
 
-	// Ground truth, memoization off: what the space really evaluates to.
+	// Ground truth, in a fresh cache: what the space really evaluates to.
 	wantPts, wantStats := eatss.ExploreSpaceOpt(context.Background(), k, g, space, cfg,
-		eatss.SweepOptions{Workers: 4, Cache: eatss.NoCache})
+		eatss.SweepOptions{Workers: 4, Cache: eatss.NewEvalCache()})
 	if len(wantPts) == 0 {
 		t.Fatal("ground-truth sweep returned no points")
 	}

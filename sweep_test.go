@@ -86,7 +86,7 @@ func TestExploreSpaceCancellation(t *testing.T) {
 	ctx := newCancelOnPoll(200)
 	defer ctx.cancel()
 	pts, stats := eatss.ExploreSpaceOpt(ctx, k, g, space, cfg,
-		eatss.SweepOptions{Workers: 4, Cache: eatss.NoCache})
+		eatss.SweepOptions{Workers: 4, Cache: eatss.NewEvalCache()})
 	if !stats.Aborted {
 		t.Fatalf("sweep of %d points finished despite cancellation: stats %+v", len(space), stats)
 	}
@@ -101,7 +101,7 @@ func TestExploreSpaceCancellation(t *testing.T) {
 	done, cancel2 := context.WithCancel(context.Background())
 	cancel2()
 	pts, stats = eatss.ExploreSpaceOpt(done, k, g, space[:10], cfg,
-		eatss.SweepOptions{Workers: 4, Cache: eatss.NoCache})
+		eatss.SweepOptions{Workers: 4, Cache: eatss.NewEvalCache()})
 	if len(pts) != 0 || !stats.Aborted || stats.Evaluated != 0 {
 		t.Fatalf("pre-cancelled sweep ran: %d points, stats %+v", len(pts), stats)
 	}

@@ -41,8 +41,8 @@ func relDiffF(a, b float64) float64 {
 	return math.Abs(a-b) / den
 }
 
-// sweepBoth runs the same space through both backends with caching off
-// and checks the point-by-point contract, returning the symbolic run's
+// sweepBoth runs the same space through both backends, each into a
+// fresh cache, and checks the point-by-point contract, returning the symbolic run's
 // stats.
 func sweepBoth(t *testing.T, kernel string, g *eatss.GPU, space []map[string]int64) eatss.ExploreStats {
 	t.Helper()
@@ -56,15 +56,15 @@ func sweepBoth(t *testing.T, kernel string, g *eatss.GPU, space []map[string]int
 	}
 	ctx := context.Background()
 	base := eatss.RunConfig{UseShared: true, Precision: eatss.FP64}
-	opt := eatss.SweepOptions{Cache: eatss.NoCache}
-
 	simCfg := base
 	simCfg.Evaluator = eatss.EvalSimulate
-	simPts, simStats := prog.ExploreSpaceOpt(ctx, g, space, simCfg, opt)
+	simPts, simStats := prog.ExploreSpaceOpt(ctx, g, space, simCfg,
+		eatss.SweepOptions{Cache: eatss.NewEvalCache()})
 
 	symCfg := base
 	symCfg.Evaluator = eatss.EvalSymbolic
-	symPts, symStats := prog.ExploreSpaceOpt(ctx, g, space, symCfg, opt)
+	symPts, symStats := prog.ExploreSpaceOpt(ctx, g, space, symCfg,
+		eatss.SweepOptions{Cache: eatss.NewEvalCache()})
 
 	if simStats.Symbolic != 0 || simStats.Residual != 0 {
 		t.Fatalf("%s on %s: simulate sweep reported backend attribution %d/%d",
