@@ -35,17 +35,16 @@ sweep-race:
 # obs-bench guards the observability layer's disabled-path cost: the
 # allocs/op checks proving that spans, metrics (counters, gauges and the
 # sweep/solver latency histograms), slog output, the live sweep progress
-# and the flight recorder all cost zero allocations (and take no locks)
-# on the hot path when observability is off — and that histogram
+# and incumbent publication all cost zero allocations (and take no
+# locks) on the hot path when observability is off — and that histogram
 # observation stays allocation-free even when it is on. Spans are
 # recorded only under a trace, so the daemon posture (metrics on, no
-# request trace) and the -listen posture of every CLI (metrics and the
-# flight recorder on, untraced figure code) get the same guarantee:
-# Start under a traceless context returns the nil span, allocates
-# nothing and puts no span event into the flight ring. A regression
-# here taxes every sweep evaluation, so it runs as part of `check`.
+# request trace) and the -listen posture of every CLI (metrics on,
+# untraced figure code) get the same guarantee: Start under a traceless
+# context returns the nil span and allocates nothing. A regression here
+# taxes every sweep evaluation, so it runs as part of `check`.
 obs-bench:
-	$(GO) test -count=1 -run 'TestObsOverhead|TestHistogramObserveEnabledDoesNotAllocate|TestTracingDisabledDaemonPathDoesNotAllocate|TestListenPostureStartDoesNotAllocate|TestLiveObsOverheadDisabled|TestDisabledRecorderDropsAndDoesNotAllocate|TestEnabledRecordDoesNotAllocate' ./internal/obs ./internal/obs/flight
+	$(GO) test -count=1 -run 'TestObsOverhead|TestHistogramObserveEnabledDoesNotAllocate|TestTracingDisabledDaemonPathDoesNotAllocate|TestListenPostureStartDoesNotAllocate|TestLiveObsOverheadDisabled' ./internal/obs
 
 # symbolic-parity pins the pluggable-backend contract: the closed-form
 # symbolic evaluator must reproduce compile+simulate point-by-point —

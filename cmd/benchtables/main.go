@@ -49,7 +49,7 @@ func main() {
 	}
 	g, err := eatss.GPUByName(*gpuName)
 	if err != nil {
-		usageError(err)
+		cli.Usagef("%v", err)
 	}
 	var ids []string
 	if *only != "" {
@@ -60,7 +60,7 @@ func main() {
 	}
 	exps, err := bench.Select(ids)
 	if err != nil {
-		usageError(fmt.Errorf("%v (use -list)", err))
+		cli.Usagef("%v (use -list)", err)
 	}
 
 	if *csvDir == "" {
@@ -84,7 +84,7 @@ func main() {
 		series = append(series, s...)
 	}
 	if ids != nil && len(noCSV) > 0 {
-		usageError(fmt.Errorf("no CSV series for %s", strings.Join(noCSV, ", ")))
+		cli.Usagef("no CSV series for %s", strings.Join(noCSV, ", "))
 	}
 	if err := os.MkdirAll(*csvDir, 0o755); err != nil {
 		cli.Fatal(err)
@@ -108,9 +108,4 @@ func writeFile(path string, write func(io.Writer) error) error {
 		return err
 	}
 	return f.Close()
-}
-
-func usageError(err error) {
-	fmt.Fprintf(os.Stderr, "benchtables: %v\n", err)
-	os.Exit(2)
 }

@@ -64,14 +64,28 @@ func main() {
 	// particular "-verify all" must not parse as -verify plus an
 	// ignored word.
 	if flag.NArg() > 0 {
-		usageError("unexpected argument %q", flag.Arg(0))
+		cli.Usagef("unexpected argument %q", flag.Arg(0))
+	}
+	// -best runs its own splits and warp fractions and prints only the
+	// candidates, so these flags would be silently ignored.
+	if *best {
+		var ignored []string
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "split", "warpfrac", "dump-model", "explain", "power", "cuda", "timetile", "regtile":
+				ignored = append(ignored, "-"+f.Name)
+			}
+		})
+		if len(ignored) > 0 {
+			cli.Usagef("-best does not use %s", strings.Join(ignored, ", "))
+		}
 	}
 	// Out-of-range fractions are usage errors, like a malformed flag.
 	if !(*split >= 0 && *split <= 1) {
-		usageError("-split %g is outside [0, 1]", *split)
+		cli.Usagef("-split %g is outside [0, 1]", *split)
 	}
 	if !(*warpFrac > 0 && *warpFrac <= 1) {
-		usageError("-warpfrac %g is outside (0, 1]", *warpFrac)
+		cli.Usagef("-warpfrac %g is outside (0, 1]", *warpFrac)
 	}
 	if *verbose {
 		cli.Verbose()
@@ -166,13 +180,13 @@ func main() {
 		var err error
 		g, err = eatss.GPUByName(*gpuName)
 		if err != nil {
-			fatal(err)
+			cli.Usagef("%v", err)
 		}
 	}
 	// A fraction under one thread of the warp would be silently rounded
 	// up to a one-thread alignment step.
 	if *warpFrac*float64(g.ThreadsPerWarp) < 1 {
-		usageError("-warpfrac %g is below one thread of %s's %d-thread warp", *warpFrac, g.Name, g.ThreadsPerWarp)
+		cli.Usagef("-warpfrac %g is below one thread of %s's %d-thread warp", *warpFrac, g.Name, g.ThreadsPerWarp)
 	}
 	prec := eatss.FP64
 	if *fp32 {
@@ -398,9 +412,3 @@ func emitSurface(ctx context.Context, prog *eatss.Program, g *eatss.GPU, params 
 }
 
 func fatal(err error) { cli.Fatal(err) }
-
-// usageError reports a bad flag value and exits 2, as flag.Parse does.
-func usageError(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "eatss: "+format+"\n", args...)
-	os.Exit(2)
-}

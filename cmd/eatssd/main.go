@@ -3,7 +3,7 @@
 // pipeline as a JSON API, with two-tier artifact caching, request
 // coalescing, per-request deadlines, and admission-controlled
 // load-shedding (see internal/serve). The live-introspection endpoints
-// (/metrics, /progress, /flight, /debug/requests, pprof) are mounted on
+// (/metrics, /progress, /profile, /debug/requests, pprof) are mounted on
 // the same listener, and every request is traced end to end into the
 // tail-sampled trace store behind /debug/requests.
 //
@@ -22,7 +22,6 @@ import (
 
 	"repro/internal/cli"
 	"repro/internal/obs"
-	"repro/internal/obs/flight"
 	"repro/internal/obs/trace"
 	"repro/internal/serve"
 )
@@ -49,11 +48,10 @@ func main() {
 		cli.Verbose()
 	}
 
-	// Metrics and the flight ring. Spans are recorded only under a
-	// request's trace, bounded per trace and tail-sampled into the
-	// /debug/requests store, so the daemon's memory stays flat.
+	// Metrics. Spans are recorded only under a request's trace, bounded
+	// per trace and tail-sampled into the /debug/requests store, so the
+	// daemon's memory stays flat.
 	obs.EnableMetrics()
-	flight.Default.Enable()
 	trace.Default.Configure(*traceCap, *traceSample)
 
 	s := serve.New(serve.Config{

@@ -34,13 +34,17 @@ func main() {
 		"explore -kernel 2mm -evaluator auto  # closed-form evaluation with fallback",
 		"explore -kernel 2mm -listen :8080    # watch the sweep at /progress")
 	flag.Parse()
+	g, err := eatss.GPUByName(*gpuName)
+	if err != nil {
+		cli.Usagef("%v", err)
+	}
+	evaluator, err := eatss.ParseEvaluator(*evalName)
+	if err != nil {
+		cli.Usagef("%v", err)
+	}
 	defer cli.Serve(*listen)()
 
 	k, err := eatss.Kernel(*kernel)
-	if err != nil {
-		fatal(err)
-	}
-	g, err := eatss.GPUByName(*gpuName)
 	if err != nil {
 		fatal(err)
 	}
@@ -49,10 +53,6 @@ func main() {
 		if std, err := eatss.StandardParams(*kernel); err == nil {
 			params = std
 		}
-	}
-	evaluator, err := eatss.ParseEvaluator(*evalName)
-	if err != nil {
-		fatal(err)
 	}
 	cfg := eatss.RunConfig{Params: params, UseShared: true, Precision: eatss.FP64, Evaluator: evaluator}
 

@@ -32,9 +32,11 @@ func (p *Program) FeasibleRegion(g *GPU, cfg RunConfig) *FeasibleRegion {
 // fresh reuse analysis — none of the interval machinery that produced
 // the certificate — and re-evaluated in arbitrary precision
 // (internal/verify, math/big). nil means the pruned point (or region)
-// is genuinely infeasible; an error labeled "false-prune" means the
-// static analysis pruned a feasible point. cfg must be the Config the
-// certificate's region was derived under.
+// is genuinely infeasible and the certificate's LHS and Cap are the
+// re-derived values; an error labeled "false-prune" means the static
+// analysis pruned a feasible point, and one labeled "prune-claim" that
+// the certificate misstates the violated comparison. cfg must be the
+// Config the certificate's region was derived under.
 func CertifyPrune(k *AffineKernel, params map[string]int64, g *GPU, cfg feas.Config, cert *PruneCert) error {
 	return verify.CertifyPrune(verify.PruneFacts{
 		SelectionFacts: verify.SelectionFacts{
@@ -51,6 +53,8 @@ func CertifyPrune(k *AffineKernel, params map[string]int64, g *GPU, cfg feas.Con
 		Nest:       cert.Nest,
 		Loop:       cert.Loop,
 		Region:     cert.Region,
+		LHS:        cert.LHS,
+		Cap:        cert.Cap,
 	})
 }
 

@@ -12,6 +12,9 @@ import (
 	"testing"
 
 	eatss "repro"
+
+	"repro/internal/analysis"
+	"repro/internal/feas"
 )
 
 // minPruneRate is the fraction of gemm's 15^3 space on GA100 the
@@ -169,5 +172,69 @@ func TestFeasibleRegionMemoized(t *testing.T) {
 	}
 	if a.Empty != nil {
 		t.Fatalf("gemm region unexpectedly empty: %s", a.Empty)
+	}
+}
+
+// TestCertifyPruneChecksClaim replays a real certificate of every kind
+// the analysis issues — point register, capacity, domain and alignment
+// claims under a model configuration, and a whole-region claim — and
+// then the same certificate with its claimed LHS or Cap off by one,
+// which the replay must reject even though the point stays infeasible.
+func TestCertifyPruneChecksClaim(t *testing.T) {
+	type claim struct {
+		k    *eatss.AffineKernel
+		g    *eatss.GPU
+		cfg  feas.Config
+		cert *eatss.PruneCert
+	}
+	kinds := map[string]claim{}
+	k, g := eatss.MustKernel("gemm"), eatss.GA100()
+	cfg := feas.ModelConfig(0.5, 0.5, eatss.FP64)
+	region := feas.Derive(analysis.Analyze(k, nil), g, cfg)
+	for _, tiles := range eatss.Space(k, []int64{8, 24, 32, 512, 2048}) {
+		if cert := region.Check(tiles); cert != nil {
+			kinds[cert.Constraint] = claim{k, g, cfg, cert}
+		}
+	}
+	for _, name := range eatss.Kernels() {
+		k := eatss.MustKernel(name)
+		prog := analysis.Analyze(k, nil)
+		for _, g := range []*eatss.GPU{eatss.GA100(), eatss.Xavier(), eatss.V100()} {
+			for _, split := range eatss.SharedSplits {
+				for _, wf := range eatss.WarpFractions {
+					cfg := feas.ModelConfig(split, wf, eatss.FP64)
+					if cert := feas.Derive(prog, g, cfg).Empty; cert != nil && cert.Constraint != "parallelism" {
+						kinds["region "+cert.Constraint] = claim{k, g, cfg, cert}
+					}
+				}
+			}
+		}
+	}
+	for _, want := range []string{"tile-domain", "tile-alignment", "register", "shared-capacity"} {
+		if _, ok := kinds[want]; !ok {
+			t.Fatalf("no %s certificate among gemm's points (got %d kinds)", want, len(kinds))
+		}
+	}
+	regions := 0
+	for kind, c := range kinds {
+		if c.cert.Region {
+			regions++
+		}
+		if err := eatss.CertifyPrune(c.k, c.k.Params, c.g, c.cfg, c.cert); err != nil {
+			t.Fatalf("%s: genuine certificate %s failed replay: %v", kind, c.cert, err)
+		}
+		for what, corrupt := range map[string]func(*eatss.PruneCert){
+			"LHS+1": func(c *eatss.PruneCert) { c.LHS++ },
+			"Cap-1": func(c *eatss.PruneCert) { c.Cap-- },
+		} {
+			bad := *c.cert
+			corrupt(&bad)
+			if err := eatss.CertifyPrune(c.k, c.k.Params, c.g, c.cfg, &bad); err == nil {
+				t.Errorf("%s: certificate with %s replays fine: %s", kind, what, &bad)
+			}
+		}
+	}
+	if regions == 0 {
+		t.Fatal("no whole-region certificate in the catalog: the region half is vacuous")
 	}
 }

@@ -3,67 +3,15 @@ package obs
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"log/slog"
 	"strings"
 	"testing"
-
-	"repro/internal/obs/flight"
 )
 
-// withFlight runs fn with both the obs layer and the flight recorder
-// enabled and clean, restoring the disabled defaults afterwards.
-func withFlight(t *testing.T, fn func()) {
-	t.Helper()
-	Reset()
-	flight.Default.Reset()
-	EnableMetrics()
-	flight.Default.Enable()
-	defer func() {
-		Disable()
-		flight.Default.Disable()
-		Reset()
-		flight.Default.Reset()
-	}()
-	fn()
-}
-
-func TestSpansAndMetricsFlowIntoFlight(t *testing.T) {
-	withFlight(t, func() {
-		ctx, _ := traced(t)
-		ctx, sp := Start(ctx, "flight.test")
-		_, child := Start(ctx, "flight.child")
-		child.End()
-		sp.End()
-		NewCounter("flight.test_counter").Add(3)
-		NewGauge("flight.test_gauge").Set(1.5)
-
-		kinds := map[flight.Kind]int{}
-		var names []string
-		for _, e := range flight.Default.Snapshot() {
-			kinds[e.Kind]++
-			names = append(names, e.Name)
-		}
-		if kinds[flight.KindSpanBegin] != 2 || kinds[flight.KindSpanEnd] != 2 {
-			t.Fatalf("span events = %d begin / %d end, want 2/2 (all: %v)",
-				kinds[flight.KindSpanBegin], kinds[flight.KindSpanEnd], names)
-		}
-		if kinds[flight.KindMetric] != 2 {
-			t.Fatalf("metric events = %d, want 2 (counter + gauge)", kinds[flight.KindMetric])
-		}
-		// Span end events carry the duration and matching ID.
-		for _, e := range flight.Default.Snapshot() {
-			if e.Kind == flight.KindSpanEnd && e.Name == "flight.test" {
-				if e.Span != sp.ID || e.A < 0 {
-					t.Fatalf("span end event = %+v, want span %d with duration", e, sp.ID)
-				}
-			}
-		}
-	})
-}
-
 func TestSweepProgressLifecycle(t *testing.T) {
-	withFlight(t, func() {
+	withEnabled(t, func() {
 		p := BeginSweep("gemm", 10)
 		if p == nil {
 			t.Fatal("BeginSweep returned nil while enabled")
@@ -107,7 +55,7 @@ func TestProgressDisabledReturnsNil(t *testing.T) {
 }
 
 func TestIncumbentState(t *testing.T) {
-	withFlight(t, func() {
+	withEnabled(t, func() {
 		SetIncumbent("gemm", 3, 928)
 		inc, ok := Incumbent()
 		if !ok {
@@ -147,8 +95,8 @@ func TestObserveN(t *testing.T) {
 	})
 }
 
-func TestLogHandlerTagsSpanAndMirrorsToFlight(t *testing.T) {
-	withFlight(t, func() {
+func TestLogHandlerTagsSpan(t *testing.T) {
+	withEnabled(t, func() {
 		var buf bytes.Buffer
 		logger := NewLogger(&buf, slog.LevelInfo)
 		ctx, _ := traced(t)
@@ -162,24 +110,11 @@ func TestLogHandlerTagsSpanAndMirrorsToFlight(t *testing.T) {
 		if len(lines) != 2 {
 			t.Fatalf("log lines = %d, want 2:\n%s", len(lines), out)
 		}
-		if !strings.Contains(lines[0], "span=") || !strings.Contains(lines[0], "kernel=gemm") {
+		if !strings.Contains(lines[0], fmt.Sprintf("span=%d", sp.ID)) || !strings.Contains(lines[0], "kernel=gemm") {
 			t.Fatalf("span-context record not tagged: %s", lines[0])
 		}
 		if strings.Contains(lines[1], "span=") {
 			t.Fatalf("span tag leaked onto spanless record: %s", lines[1])
-		}
-
-		var logEvents int
-		for _, e := range flight.Default.Snapshot() {
-			if e.Kind == flight.KindLog {
-				logEvents++
-				if e.Str == "solving" && e.Span != sp.ID {
-					t.Fatalf("flight log event span = %d, want %d", e.Span, sp.ID)
-				}
-			}
-		}
-		if logEvents != 2 {
-			t.Fatalf("flight log events = %d, want 2", logEvents)
 		}
 	})
 }
@@ -194,15 +129,12 @@ func TestLogHandlerWithAttrsAndGroup(t *testing.T) {
 	}
 }
 
-// TestLiveObsOverheadDisabled extends the PR-1 zero-alloc guard over the
-// paths this PR added: flight recording, live progress, incumbent
-// publication and level-filtered slog calls must all cost nothing when
-// the layer is disabled.
+// TestLiveObsOverheadDisabled extends the zero-alloc guard over the live
+// paths: live progress, incumbent publication and level-filtered slog
+// calls must all cost nothing when the layer is disabled.
 func TestLiveObsOverheadDisabled(t *testing.T) {
 	Disable()
-	flight.Default.Disable()
 	Reset()
-	flight.Default.Reset()
 	logger := NewLogger(io.Discard, slog.LevelError)
 	ctx := context.Background()
 	c := NewCounter("test.live_overhead")
@@ -216,8 +148,6 @@ func TestLiveObsOverheadDisabled(t *testing.T) {
 		p.PointDone(false, true)
 		p.Finish()
 		SetIncumbent("k", 1, 2)
-		flight.Default.SweepPoint("k", 1, true, false)
-		flight.Default.Incumbent("k", 1, 2)
 		logger.DebugContext(ctx2, "below level")
 	})
 	if allocs != 0 {
@@ -226,12 +156,11 @@ func TestLiveObsOverheadDisabled(t *testing.T) {
 }
 
 // TestListenPostureStartDoesNotAllocate guards the posture of a CLI
-// under -listen (and of eatssd with -no-request-traces): metrics and the
-// flight recorder on, no trace in the context. Start must return the
-// nil span, allocate nothing and put no span event into the flight
-// ring, so untraced figure code costs a long run no memory.
+// under -listen (and of eatssd with -no-request-traces): metrics on, no
+// trace in the context. Start must return the nil span and allocate
+// nothing, so untraced figure code costs a long run no memory.
 func TestListenPostureStartDoesNotAllocate(t *testing.T) {
-	withFlight(t, func() {
+	withEnabled(t, func() {
 		ctx := context.Background()
 		allocs := testing.AllocsPerRun(1000, func() {
 			ctx2, sp := Start(ctx, "gpusim.simulate")
@@ -243,11 +172,6 @@ func TestListenPostureStartDoesNotAllocate(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Fatalf("untraced Start under -listen allocates %.1f per call, want 0", allocs)
-		}
-		for _, e := range flight.Default.Snapshot() {
-			if e.Kind == flight.KindSpanBegin || e.Kind == flight.KindSpanEnd {
-				t.Fatalf("untraced Start put a span event into the flight ring: %+v", e)
-			}
 		}
 	})
 }

@@ -4,19 +4,12 @@ import (
 	"context"
 	"io"
 	"log/slog"
-
-	"repro/internal/obs/flight"
 )
 
 // LogHandler is a slog.Handler wrapper that ties structured logging
-// into the observability layer:
-//
-//   - records emitted under a context carrying an obs span gain a
-//     "span" attribute with the span's ID, so log lines correlate with
-//     the trace tree,
-//   - records are mirrored into the flight recorder (KindLog events)
-//     when it is capturing, so a crash dump interleaves the last log
-//     lines with the span and metric activity around them.
+// into the observability layer: records emitted under a context
+// carrying an obs span gain a "span" attribute with the span's ID, so
+// log lines correlate with the trace tree.
 //
 // The wrapper adds no cost to disabled levels: Enabled defers to the
 // inner handler, and slog short-circuits before building a Record.
@@ -24,12 +17,12 @@ type LogHandler struct {
 	inner slog.Handler
 }
 
-// NewLogHandler wraps inner with span tagging and flight mirroring.
+// NewLogHandler wraps inner with span tagging.
 func NewLogHandler(inner slog.Handler) LogHandler { return LogHandler{inner: inner} }
 
 // NewLogger returns a text logger writing to w at the given level, with
-// span tagging and flight mirroring — the shared diagnostic logger the
-// cmds use in place of ad-hoc fmt.Fprintf.
+// span tagging — the shared diagnostic logger the cmds use in place of
+// ad-hoc fmt.Fprintf.
 func NewLogger(w io.Writer, level slog.Leveler) *slog.Logger {
 	return slog.New(NewLogHandler(slog.NewTextHandler(w, &slog.HandlerOptions{Level: level})))
 }
@@ -39,18 +32,12 @@ func (h LogHandler) Enabled(ctx context.Context, level slog.Level) bool {
 	return h.inner.Enabled(ctx, level)
 }
 
-// Handle tags the record with the active span ID (if any), mirrors it
-// into the flight recorder carrying the request trace ID (if any), and
-// forwards it.
+// Handle tags the record with the active span ID (if any) and forwards
+// it.
 func (h LogHandler) Handle(ctx context.Context, rec slog.Record) error {
-	var spanID uint64
-	var traceID string
 	if sp := FromContext(ctx); sp != nil {
-		spanID = sp.ID
-		traceID = sp.TraceID
-		rec.AddAttrs(slog.Uint64("span", spanID))
+		rec.AddAttrs(slog.Uint64("span", sp.ID))
 	}
-	flight.Default.Log(rec.Level.String(), rec.Message, spanID, traceID)
 	return h.inner.Handle(ctx, rec)
 }
 

@@ -5,8 +5,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/obs/flight"
 )
 
 // The process-wide metric registry. Instruments are registered once
@@ -22,8 +20,7 @@ var reg struct {
 
 // Counter is a monotonically increasing int64 metric.
 type Counter struct {
-	name string
-	v    atomic.Int64
+	v atomic.Int64
 }
 
 // NewCounter registers (or finds) the counter named name.
@@ -36,19 +33,17 @@ func NewCounter(name string) *Counter {
 	if c, ok := reg.counters[name]; ok {
 		return c
 	}
-	c := &Counter{name: name}
+	c := &Counter{}
 	reg.counters[name] = c
 	return c
 }
 
-// Add increments the counter by d when the layer is enabled. Deltas are
-// mirrored into the flight recorder when it is capturing.
+// Add increments the counter by d when the layer is enabled.
 func (c *Counter) Add(d int64) {
 	if c == nil || !enabled.Load() {
 		return
 	}
 	c.v.Add(d)
-	flight.Default.CounterAdd(c.name, d)
 }
 
 // Value returns the current count.
@@ -61,7 +56,6 @@ func (c *Counter) Value() int64 {
 
 // Gauge is a last-value float64 metric.
 type Gauge struct {
-	name string
 	bits atomic.Uint64
 }
 
@@ -75,19 +69,17 @@ func NewGauge(name string) *Gauge {
 	if g, ok := reg.gauges[name]; ok {
 		return g
 	}
-	g := &Gauge{name: name}
+	g := &Gauge{}
 	reg.gauges[name] = g
 	return g
 }
 
-// Set stores v when the layer is enabled. Updates are mirrored into the
-// flight recorder when it is capturing.
+// Set stores v when the layer is enabled.
 func (g *Gauge) Set(v float64) {
 	if g == nil || !enabled.Load() {
 		return
 	}
 	g.bits.Store(math.Float64bits(v))
-	flight.Default.GaugeSet(g.name, v)
 }
 
 // Value returns the last stored value (0 if never set).

@@ -36,8 +36,8 @@ var enabled atomic.Bool
 // EnableMetrics turns the layer on: metric updates, live sweep progress
 // and span recording into traces opened with StartTrace. A context
 // without a Trace still gets the nil span, so a long-lived process
-// (eatssd, any CLI under -listen) keeps /metrics, /progress and the
-// flight recorder's bounded ring live while memory stays flat.
+// (eatssd, any CLI under -listen) keeps /metrics and /progress live
+// while memory stays flat.
 func EnableMetrics() { enabled.Store(true) }
 
 // Disable turns the layer off again; already-recorded data is kept.

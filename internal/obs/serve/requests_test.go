@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/obs/flight"
 	"repro/internal/obs/trace"
 )
 
@@ -176,45 +175,6 @@ func TestDebugRequestsActiveTable(t *testing.T) {
 
 	sp.End()
 	trace.Default.Finish(act, trace.Outcome{Status: trace.StatusOK, HTTPStatus: 200})
-}
-
-// TestFlightTraceFilterEndpoint: /flight?trace= narrows the dump to one
-// request's events.
-func TestFlightTraceFilterEndpoint(t *testing.T) {
-	flight.Default.Reset()
-	flight.Default.Enable()
-	t.Cleanup(func() {
-		flight.Default.Disable()
-		flight.Default.Reset()
-	})
-
-	flight.Default.SpanBegin(1, 0, "mine", "trace-a")
-	flight.Default.SpanBegin(2, 0, "theirs", "trace-b")
-	flight.Default.Log("INFO", "hello", 1, "trace-a")
-
-	rec := httptest.NewRecorder()
-	handleFlight(rec, httptest.NewRequest("GET", "/flight?trace=trace-a", nil))
-	var dump struct {
-		Filter string `json:"filter"`
-		Events []struct {
-			Name  string `json:"name,omitempty"`
-			Trace string `json:"trace,omitempty"`
-		} `json:"events"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &dump); err != nil {
-		t.Fatalf("not JSON: %v\n%s", err, rec.Body.String())
-	}
-	if dump.Filter != "trace-a" {
-		t.Fatalf("filter = %q", dump.Filter)
-	}
-	if len(dump.Events) != 2 {
-		t.Fatalf("filtered events = %+v", dump.Events)
-	}
-	for _, e := range dump.Events {
-		if e.Trace != "trace-a" {
-			t.Fatalf("foreign event leaked through filter: %+v", e)
-		}
-	}
 }
 
 // TestHealthMetricsOnScrape: /metrics carries the process health series

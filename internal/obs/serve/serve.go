@@ -2,7 +2,7 @@
 // introspection: while a long sweep or solve runs, `curl` (or a
 // Prometheus scraper, or a Chrome trace viewer) can watch it from
 // outside the process. All endpoints are read-only snapshots of the
-// obs/flight state; serving costs nothing to the instrumented hot
+// obs state; serving costs nothing to the instrumented hot
 // paths beyond what the obs layer already pays. Spans exist only inside
 // obs traces, so span trees are served per request at /debug/requests
 // (cmd/eatss writes its own run's tree with -trace and -summary).
@@ -15,8 +15,6 @@
 //	           exemplars on histogram buckets
 //	/progress  JSON live view: sweep points done/total + ETA, cache
 //	           hit rate, and the solver's current incumbent objective
-//	/flight    flight-recorder ring buffer dump (JSON);
-//	           ?trace=<id> keeps only that request's events
 //	/profile   latest published energy-attribution profile (JSON);
 //	           ?view=surface returns the latest sweep surface,
 //	           ?view=report the rendered attribution table
@@ -40,7 +38,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/obs/flight"
 	"repro/internal/profile"
 )
 
@@ -50,7 +47,6 @@ func Handler() http.Handler {
 	mux.HandleFunc("/", handleIndex)
 	mux.HandleFunc("/metrics", handleMetrics)
 	mux.HandleFunc("/progress", handleProgress)
-	mux.HandleFunc("/flight", handleFlight)
 	mux.HandleFunc("/profile", handleProfile)
 	mux.HandleFunc("/debug/requests", handleRequests)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -104,9 +100,9 @@ func (s *Server) Close() error { return s.srv.Close() }
 
 // Shutdown stops accepting new connections and drains in-flight
 // handlers, waiting until they finish or ctx expires (then the
-// stragglers are dropped, like Close). The SIGINT/SIGTERM paths of
-// cmd/eatssd and internal/cli use it so a deploy never cuts a response
-// mid-body.
+// stragglers are dropped, like Close). cmd/eatssd's SIGINT/SIGTERM
+// path and cli.Serve's stop function use it so a deploy never cuts a
+// response mid-body.
 func (s *Server) Shutdown(ctx context.Context) error { return s.srv.Shutdown(ctx) }
 
 func handleIndex(w http.ResponseWriter, r *http.Request) {
@@ -118,7 +114,6 @@ func handleIndex(w http.ResponseWriter, r *http.Request) {
 	io.WriteString(w, "eatss introspection endpoints:\n"+
 		"  /metrics   Prometheus text exposition (incl. process health)\n"+
 		"  /progress  live sweep/solve progress (JSON)\n"+
-		"  /flight    flight-recorder dump (JSON; ?trace=<id> filters)\n"+
 		"  /profile   latest energy-attribution profile (?view=surface|report)\n"+
 		"  /debug/requests  tail-sampled request traces (?trace=<id>&view=tree|chrome)\n"+
 		"  /debug/pprof/  runtime profiles\n")
@@ -128,13 +123,6 @@ func handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	updateHealthMetrics()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	WritePrometheus(w, obs.Snapshot())
-}
-
-func handleFlight(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := flight.Default.WriteJSONTrace(w, r.URL.Query().Get("trace")); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
 }
 
 // handleProfile serves the most recently published energy-attribution

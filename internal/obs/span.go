@@ -4,8 +4,6 @@ import (
 	"context"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/obs/flight"
 )
 
 // AttrKind discriminates the value held by an Attr.
@@ -86,7 +84,7 @@ type Span struct {
 type ctxKey struct{}
 
 // nextSpanID numbers spans process-wide, so IDs stay unique across
-// traces (the flight recorder interleaves events of concurrent traces).
+// traces (a log record's span attribute names one span process-wide).
 var nextSpanID atomic.Uint64
 
 // Start opens a span named name as a child of the span carried by ctx
@@ -122,7 +120,6 @@ func Start(ctx context.Context, name string) (context.Context, *Span) {
 		trace:   t,
 	}
 	t.spanBegin(sp)
-	flight.Default.SpanBegin(sp.ID, parentID, name, sp.TraceID)
 	return context.WithValue(ctx, ctxKey{}, sp), sp
 }
 
@@ -144,7 +141,6 @@ func (s *Span) End() {
 	if s.trace != nil { // nil on the copies a Trace snapshot holds
 		s.trace.spanEnd(s)
 	}
-	flight.Default.SpanEnd(s.ID, s.Name, s.EndAt.Sub(s.StartAt), s.TraceID)
 }
 
 // Duration is EndAt-StartAt, or 0 for an unfinished span.

@@ -107,8 +107,8 @@ type Response struct {
 	Cached    bool    `json:"cached,omitempty"`
 	Coalesced bool    `json:"coalesced,omitempty"`
 	ElapsedMs float64 `json:"elapsed_ms"`
-	// TraceID identifies this request in /debug/requests, the flight
-	// recorder and the access log; also echoed as a traceparent header.
+	// TraceID identifies this request in /debug/requests, the metric
+	// exemplars and the access log; also echoed as a traceparent header.
 	TraceID string `json:"trace_id,omitempty"`
 
 	Diags      []DiagView      `json:"diags,omitempty"`

@@ -31,8 +31,8 @@
 // Everything is instrumented through the internal/obs registry
 // (serve.requests, serve.shed, serve.coalesced, cache hit/miss
 // counters, a request-latency histogram), and the introspection
-// endpoints of internal/obs/serve (/metrics, /progress, /flight, pprof)
-// are mounted on the same mux.
+// endpoints of internal/obs/serve (/metrics, /progress, /profile,
+// /debug/requests, pprof) are mounted on the same mux.
 package serve
 
 import (
@@ -170,7 +170,7 @@ func New(cfg Config) *Server {
 }
 
 // Handler returns the service mux: the /v1 JSON API, /healthz, and the
-// live-introspection endpoints (/metrics, /progress, /flight, /profile,
+// live-introspection endpoints (/metrics, /progress, /profile,
 // /debug/requests, pprof) from internal/obs/serve.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()

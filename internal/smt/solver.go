@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/obs/flight"
 )
 
 // Package-level telemetry instruments. Updates are batched per Solve
@@ -98,8 +97,8 @@ type Incumbent struct {
 type Solver struct {
 	p     *Problem
 	Stats Stats
-	// Name tags the solver's live telemetry (incumbent publications,
-	// flight events) with what is being optimized — typically the kernel
+	// Name tags the solver's live telemetry (incumbent publications on
+	// /progress) with what is being optimized — typically the kernel
 	// name. Optional; empty names are published as-is.
 	Name string
 	// domains are the solver's propagated copies of the problem domains
@@ -657,8 +656,8 @@ func (s *Solver) solveRound(ctx context.Context, obj Expr, round int) (Model, in
 }
 
 // noteIncumbent records one objective improvement in the solver stats
-// and publishes it to the live telemetry surfaces: the incumbent gauge,
-// the obs live-progress state, and the flight recorder.
+// and publishes it to the live telemetry surfaces: the incumbent gauge
+// and the obs live-progress state.
 func (s *Solver) noteIncumbent(round int, val int64, start time.Time) {
 	s.Stats.Incumbents = append(s.Stats.Incumbents, Incumbent{
 		Round:     round,
@@ -668,7 +667,6 @@ func (s *Solver) noteIncumbent(round int, val int64, start time.Time) {
 	})
 	mIncumbent.Set(float64(val))
 	obs.SetIncumbent(s.Name, int64(round), val)
-	flight.Default.Incumbent(s.Name, int64(round), val)
 }
 
 // Maximize implements the paper's iterative optimization (Sec. IV-L): find

@@ -1,6 +1,9 @@
 package verify
 
-import "math/big"
+import (
+	"math"
+	"math/big"
+)
 
 // PruneFacts is everything CertifyPrune needs about one static prune
 // verdict (internal/feas's PruneCert, flattened so the certifier stays
@@ -23,6 +26,30 @@ type PruneFacts struct {
 	// certifier re-derives itself (monotone left-hand sides take their
 	// minimum there, so a violation at the corner covers every point).
 	Region bool
+	// LHS and Cap are the claimed comparison LHS > Cap: a resource
+	// bound's left-hand side and capacity; for a domain claim the tile
+	// (the domain minimum for Region claims) and the domain bound; for
+	// an alignment claim the tile and the step. Each must equal the
+	// certifier's own value, or the replay fails with a "prune-claim"
+	// Violation.
+	LHS, Cap int64
+}
+
+// satLHS is where the analysis saturates its int64 left-hand sides
+// (math.MaxInt64 >> 16): a claimed LHS of exactly this value stands for
+// any re-derived value at least as large.
+const satLHS = math.MaxInt64 >> 16
+
+// checkClaim compares the certificate's claimed LHS and Cap with the
+// re-derived ones.
+func (f PruneFacts) checkClaim(lhs *big.Int, capacity int64) error {
+	lhsOK := lhs.IsInt64() && lhs.Int64() == f.LHS ||
+		f.LHS == satLHS && lhs.Cmp(big.NewInt(satLHS)) >= 0
+	if !lhsOK || f.Cap != capacity {
+		return violationf("prune-claim", "certificate claims LHS %d and cap %d, the re-derivation gives %s and %d",
+			f.LHS, f.Cap, lhs, capacity)
+	}
+	return nil
 }
 
 // step is the tile-domain step the claim was made under. Unlike
@@ -82,7 +109,7 @@ func CertifyPrune(f PruneFacts) error {
 			// Empty domain: even the smallest admissible multiple
 			// exceeds the upper bound.
 			if hi, ok := upper[f.Loop]; ok && step > hi {
-				return nil
+				return f.checkClaim(big.NewInt(step), hi)
 			}
 			return violationf("false-prune",
 				"domain of T_%s is not empty (step %d <= bound %d)", f.Loop, step, upper[f.Loop])
@@ -96,7 +123,7 @@ func CertifyPrune(f PruneFacts) error {
 			return violationf("false-prune", "kernel has no loop %q", f.Loop)
 		}
 		if t < step || t%step != 0 || t > (hi/step)*step {
-			return nil
+			return f.checkClaim(big.NewInt(t), (hi/step)*step)
 		}
 		return violationf("false-prune",
 			"T_%s = %d is inside the declared domain [%d, %d] step %d", f.Loop, t, step, hi, step)
@@ -107,7 +134,7 @@ func CertifyPrune(f PruneFacts) error {
 			return violationf("false-prune", "certificate names loop %q but judges no tile for it", f.Loop)
 		}
 		if step > 1 && (t < step || t%step != 0) {
-			return nil
+			return f.checkClaim(big.NewInt(t), step)
 		}
 		return violationf("false-prune",
 			"T_%s = %d is a positive multiple of the step %d", f.Loop, t, step)
@@ -139,7 +166,7 @@ func CertifyPrune(f PruneFacts) error {
 				"nest %q: no tile for loop %q — the %s left-hand side is unbounded by the claim", f.Nest, missing, b.label)
 		}
 		if lhs.Cmp(big.NewInt(b.cap)) > 0 {
-			return nil
+			return f.checkClaim(lhs, b.cap)
 		}
 		return violationf("false-prune", "nest %q: %s %s is within %s %d", f.Nest, b.lhsName, lhs, b.capName, b.cap)
 	}

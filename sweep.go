@@ -13,7 +13,6 @@ import (
 	"repro/internal/feas"
 	"repro/internal/lru"
 	"repro/internal/obs"
-	"repro/internal/obs/flight"
 	"repro/internal/sweep"
 )
 
@@ -248,8 +247,8 @@ func exploreAnalyzed(ctx context.Context, prog *analysis.Program, g *GPU, space 
 	workers := sweep.Workers(opt.Workers)
 	sp.SetInt("workers", int64(workers))
 	mSweepWorkers.Set(float64(workers))
-	// Live progress for the /progress endpoint, plus per-point flight
-	// events. Both are nil-safe no-ops while observability is disabled.
+	// Live progress for the /progress endpoint; a nil-safe no-op while
+	// observability is disabled.
 	progress := obs.BeginSweep(prog.Kernel.Name, len(space))
 	progress.SetEvaluator(cfg.Evaluator.String())
 	defer progress.Finish()
@@ -262,12 +261,11 @@ func exploreAnalyzed(ctx context.Context, prog *analysis.Program, g *GPU, space 
 	if opt.Prune {
 		region := feas.Cached(prog, g, feas.SweepConfig(cfg.Precision))
 		kept := make([]map[string]int64, 0, len(space))
-		for i, tiles := range space {
+		for _, tiles := range space {
 			if cert := region.Check(tiles); cert != nil {
 				pruned++
 				mSweepPrunedPoints.Add(1)
 				progress.PointPruned()
-				flight.Default.SweepPoint(prog.Kernel.Name, int64(i), false, false)
 				continue
 			}
 			kept = append(kept, tiles)
@@ -282,12 +280,11 @@ func exploreAnalyzed(ctx context.Context, prog *analysis.Program, g *GPU, space 
 	prefix := sweepKeyPrefix(prog, g, cfg)
 
 	outcomes, done, cerr := sweep.Map(ctx, opt.Workers, space,
-		func(wctx context.Context, i int, tiles map[string]int64) sweepOutcome {
+		func(wctx context.Context, _ int, tiles map[string]int64) sweepOutcome {
 			key := prefix + tileKey(tiles)
 			if e, ok := cache.c.Get(key); ok {
 				mSweepCacheHits.Add(1)
 				progress.PointDone(true, e.ok)
-				flight.Default.SweepPoint(prog.Kernel.Name, int64(i), e.ok, true)
 				return sweepOutcome{res: e.res, ok: e.ok, hit: true}
 			}
 			mSweepCacheMisses.Add(1)
@@ -306,7 +303,6 @@ func exploreAnalyzed(ctx context.Context, prog *analysis.Program, g *GPU, space 
 				cache.put(key, evalEntry{res: o.res, ok: o.ok})
 			}
 			progress.PointDone(false, o.ok)
-			flight.Default.SweepPoint(prog.Kernel.Name, int64(i), o.ok, false)
 			return o
 		})
 
